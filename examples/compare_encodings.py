@@ -12,7 +12,7 @@ Run:
 
 import numpy as np
 
-from repro.bounds import Box, propagate_twin_box
+from repro.bounds import Box, get_propagator
 from repro.certify import CertifierConfig, GlobalRobustnessCertifier, certify_exact_global
 from repro.certify.comparisons import certify_global_btne_nd
 from repro.data import load_auto_mpg
@@ -39,12 +39,11 @@ def main() -> None:
             net, CertifierConfig(window=2, refine_count=0)
         ).certify(domain, delta)
         btne = certify_global_btne_nd(net, domain, delta)
-        twin_ibp = propagate_twin_box(chain, domain, delta)
         ibp_eps = float(
-            np.maximum(
-                np.abs(twin_ibp.output_distance.lo),
-                np.abs(twin_ibp.output_distance.hi),
-            ).max()
+            get_propagator("ibp")
+            .propagate(chain, domain, delta)
+            .output_variation_bounds()
+            .max()
         )
         rows.append(
             [

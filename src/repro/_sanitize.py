@@ -20,8 +20,9 @@ Contracts wired in today:
 * **warm-start basis validity** — a
   :class:`~repro.milp.session.WarmStartSession` basis re-entering the
   prepared LP indexes real columns, one per row, without duplicates;
-* **batched row agreement** — a batched ``propagate_many`` result
-  agrees with the row-sliced scalar propagation on a sampled query row
+* **batched row agreement** — a sampled query row of a batched
+  ``propagate_many`` result agrees with that query propagated alone,
+  i.e. a row does not depend on the batch size
   (:mod:`repro.bounds.propagator`).
 
 Violations raise :class:`SanitizerError` (an ``AssertionError``
@@ -162,25 +163,25 @@ def check_tiling(
 
 def check_batch_row(
     batched: np.ndarray,
-    scalar: np.ndarray,
+    single: np.ndarray,
     what: str,
     tol: float = 1e-9,
 ) -> None:
-    """A batched propagation row must agree with its scalar twin.
+    """A batched propagation row must agree with its single-query run.
 
-    The batched kernels promise per-row results matching the per-query
-    scalar path (the :mod:`repro.bounds.batched` bit-identity contract);
+    The batched kernels promise per-row results independent of the
+    batch size (the :mod:`repro.bounds.batched` bit-identity contract);
     a silent divergence would let a vectorization bug certify with
     bounds nobody ever cross-checked.  Comparison is tolerance-based so
     near-miss third-party engines fail loudly with the offending
     indices rather than on the last ulp.
     """
     left = np.asarray(batched, dtype=float)
-    right = np.asarray(scalar, dtype=float)
+    right = np.asarray(single, dtype=float)
     if left.shape != right.shape:
         _fail(
             "batch-row",
-            f"{what}: batched row shape {left.shape} != scalar {right.shape}",
+            f"{what}: batched row shape {left.shape} != single-query {right.shape}",
         )
     # Exact matches (including ±inf and NaN-vs-NaN) pass outright; the
     # tolerance only applies to genuinely differing finite entries.
@@ -194,7 +195,7 @@ def check_batch_row(
         worst = np.flatnonzero(bad.reshape(-1))[:5]
         _fail(
             "batch-row",
-            f"{what}: batched row diverges from scalar propagation at "
+            f"{what}: batched row diverges from single-query propagation at "
             f"flat indices {worst.tolist()}",
         )
 

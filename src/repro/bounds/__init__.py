@@ -19,8 +19,9 @@ protocol (``propagate(layers, input_box, delta=None) -> LayerBounds``):
   relaxations (:mod:`repro.bounds.symbolic`), never looser than IBP and
   usually much tighter; it also propagates distance bounds symbolically.
 
-The low-level :func:`propagate_box` / :func:`propagate_twin_box`
-functions remain as the IBP engine's implementation.
+Each bound kernel has one implementation, over ``(Q, n)`` query stacks
+(:mod:`repro.bounds.batched`): single-query ``propagate`` is the ``Q=1``
+row of the same kernel that ``propagate_many`` runs for a whole batch.
 """
 
 from __future__ import annotations
@@ -32,15 +33,8 @@ from repro.bounds.batched import (
     as_batched_box,
     as_batched_delta,
 )
-from repro.bounds.ibp import propagate_box, propagate_box_batch
-from repro.bounds.twin_ibp import (
-    BatchedTwinBounds,
-    TwinBounds,
-    propagate_twin_box,
-    propagate_twin_box_batch,
-    relu_distance_interval,
-    relu_distance_interval_batch,
-)
+from repro.bounds.ibp import propagate_box_batch
+from repro.bounds.twin_ibp import propagate_twin_box_batch, relu_distance_interval
 from repro.bounds.propagator import (
     BoundPropagator,
     IBPPropagator,
@@ -60,14 +54,9 @@ __all__ = [
     "BatchedLayerBounds",
     "as_batched_box",
     "as_batched_delta",
-    "propagate_box",
     "propagate_box_batch",
-    "propagate_twin_box",
     "propagate_twin_box_batch",
     "relu_distance_interval",
-    "relu_distance_interval_batch",
-    "TwinBounds",
-    "BatchedTwinBounds",
     "LayerRanges",
     "RangeTable",
     "BoundPropagator",

@@ -16,15 +16,17 @@ pass:
 Bit-identity contract
 ---------------------
 
-Every batched kernel in the bounds package is arranged so that row ``q``
-of the batched result is **bit-identical** to the scalar propagation of
-row ``q`` alone.  The arithmetic trick: matmuls keep the scalar
+Each bound kernel in the bounds package has one implementation, over
+``(Q, n)`` stacks; single-query ``propagate`` is the ``Q=1`` row of the
+same pass.  The kernels are arranged so that row ``q`` of a batched
+result is **bit-identical** to propagating row ``q`` alone, whatever the
+batch size.  The arithmetic trick: matmuls keep the 2-D single-query
 operand shapes and batch through numpy's *stacked* (leading) axes —
 ``(m, n) @ (Q, n, 1)`` instead of ``(Q, n) @ (n, m)`` — so each 2-D
-slice is computed by exactly the same BLAS call as the scalar path,
-independent of the batch size.  Elementwise operations are trivially
-per-row.  The ``REPRO_SANITIZE=1`` contract and the property tests
-enforce this row agreement.
+slice is computed by exactly the same BLAS call whatever ``Q`` is.
+Elementwise operations are trivially per-row.  The ``REPRO_SANITIZE=1``
+contract and the property tests (against an independent single-query
+reference in ``tests/bounds``) enforce this row agreement.
 
 Both containers copy ingested caller arrays (lint rule RPR002): batched
 bounds are shared across whole query batches, so aliasing a caller's
@@ -85,7 +87,7 @@ class BatchedBox:
                 f"lower bound exceeds upper in query rows {rows.tolist()}"
             )
         # Rectify tiny inversions caused by floating point (same
-        # contract as the scalar Box constructor).
+        # contract as the Box constructor).
         np.minimum(self.lo, self.hi, out=self.lo)
 
     # -- constructors --------------------------------------------------------
@@ -141,8 +143,8 @@ class BatchedBox:
         """Row-wise interval image of ``W x + b``.
 
         Batched through the stacked-matmul form ``(m, n) @ (Q, n, 1)``,
-        whose per-query 2-D slices are the scalar ``W⁺ lo + W⁻ hi``
-        calls verbatim — row ``q`` is bit-identical to
+        whose per-query 2-D slices are the :meth:`Box.affine`
+        ``W⁺ lo + W⁻ hi`` calls verbatim — row ``q`` is bit-identical to
         ``self.row(q).affine(weight, bias)``.
         """
         w_pos = np.clip(weight, 0.0, None)
@@ -187,10 +189,10 @@ def as_batched_delta(
 ) -> "BatchedBox | None":
     """Coerce a per-query perturbation spec into a ``(Q, n)`` stack.
 
-    Mirrors the scalar ``_as_delta_box`` semantics per row: a float
-    radius ``d`` becomes the box ``[-d, d]^n``; per-query radii may be a
-    1-D array (or list) of length ``Q``; explicit boxes pass through
-    (one shared box, a per-query list, or a ready-made stack).
+    A float radius ``d`` becomes the box ``[-d, d]^n`` in every row;
+    per-query radii may be a 1-D array (or list) of length ``Q``;
+    explicit boxes pass through (one shared box, a per-query list, or a
+    ready-made stack).
     """
     if deltas is None:
         return None
@@ -208,7 +210,7 @@ def as_batched_delta(
             np.broadcast_to(deltas.lo, (queries, dim)),
             np.broadcast_to(deltas.hi, (queries, dim)),
         )
-    if isinstance(deltas, (int, float)):
+    if isinstance(deltas, (int, float, np.number)):
         radius = np.full((queries, 1), float(deltas))
         return BatchedBox(
             np.broadcast_to(-radius, (queries, dim)),
@@ -236,7 +238,7 @@ def as_batched_delta(
 
 
 def delta_row(deltas: "DeltaSpec", q: int, dim: int) -> "float | Box | None":
-    """Query ``q``'s perturbation in the scalar ``propagate`` vocabulary.
+    """Query ``q``'s perturbation in the single-query ``propagate`` vocabulary.
 
     Used by the loop-over-``propagate`` fallback so third-party engines
     see exactly the argument the per-query caller would have passed.

@@ -3,46 +3,17 @@
 from __future__ import annotations
 
 from repro.bounds.batched import BatchedBox
-from repro.bounds.interval import Box
 from repro.nn.affine import AffineLayer
-
-
-def propagate_box(
-    layers: list[AffineLayer], input_box: Box, collect: bool = False
-) -> "Box | tuple[Box, list[Box]]":
-    """Propagate an input box through an affine chain.
-
-    Args:
-        layers: Normal-form network (see :mod:`repro.nn.affine`).
-        input_box: Box over the flattened input.
-        collect: When True, also return per-layer pre-activation boxes.
-
-    Returns:
-        The output box, or ``(output_box, pre_activation_boxes)`` when
-        ``collect`` is set.  ``pre_activation_boxes[i]`` bounds ``y(i+1)``
-        in the paper's indexing.
-    """
-    box = input_box
-    pre_acts: list[Box] = []
-    for layer in layers:
-        box = box.affine(layer.weight, layer.bias)
-        if collect:
-            pre_acts.append(box)
-        if layer.relu:
-            box = box.relu()
-    if collect:
-        return box, pre_acts
-    return box
 
 
 def propagate_box_batch(
     layers: list[AffineLayer], input_boxes: BatchedBox, collect: bool = False
 ) -> "BatchedBox | tuple[BatchedBox, list[BatchedBox]]":
-    """Propagate a ``(Q, n)`` stack of input boxes in one vectorized pass.
+    """Propagate a ``(Q, n)`` stack of input boxes through an affine chain.
 
-    The batched twin of :func:`propagate_box`: row ``q`` of every
-    returned stack is bit-identical to propagating ``input_boxes.row(q)``
-    alone (see the :mod:`repro.bounds.batched` bit-identity contract).
+    The one IBP forward kernel: a single query is the ``Q=1`` stack, and
+    row ``q`` of every returned stack does not depend on the batch size
+    (see the :mod:`repro.bounds.batched` bit-identity contract).
 
     Args:
         layers: Normal-form network (see :mod:`repro.nn.affine`).
@@ -51,7 +22,8 @@ def propagate_box_batch(
 
     Returns:
         The output stack, or ``(output_stack, pre_activation_stacks)``
-        when ``collect`` is set.
+        when ``collect`` is set.  ``pre_activation_stacks[i]`` bounds
+        ``y(i+1)`` in the paper's indexing.
     """
     boxes = input_boxes
     pre_acts: list[BatchedBox] = []

@@ -42,8 +42,8 @@ from repro.bounds.batched import (
     delta_row,
 )
 from repro.bounds.interval import Box
-from repro.bounds.ibp import propagate_box, propagate_box_batch
-from repro.bounds.twin_ibp import propagate_twin_box, propagate_twin_box_batch
+from repro.bounds.ibp import propagate_box_batch
+from repro.bounds.twin_ibp import propagate_twin_box_batch
 from repro.nn.affine import AffineLayer
 
 #: Accepted ways of naming a stack of query boxes: a ready-made
@@ -244,20 +244,13 @@ class BoundPropagator(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def _as_delta_box(delta: float | Box, dim: int) -> Box:
-    if isinstance(delta, Box):
-        if delta.dim != dim:
-            raise ValueError("perturbation box dimension mismatch")
-        return delta
-    return Box.uniform(dim, -float(delta), float(delta))
-
-
 class IBPPropagator:
     """Plain interval bound propagation (the existing IBP / twin-IBP).
 
     Value boxes come from forward interval arithmetic; with a ``delta``
     the twin variant of :mod:`repro.bounds.twin_ibp` also tracks the
-    per-layer distance boxes.
+    per-layer distance boxes.  Single-query :meth:`propagate` is the
+    ``Q=1`` row of :meth:`propagate_many`.
     """
 
     name = "ibp"
@@ -268,24 +261,7 @@ class IBPPropagator:
         input_box: Box,
         delta: float | Box | None = None,
     ) -> LayerBounds:
-        if delta is not None:
-            twin = propagate_twin_box(layers, input_box, delta)
-            return LayerBounds(
-                input_box=twin.x[0],
-                y=twin.y,
-                x=twin.x[1:],
-                delta_box=twin.dx[0],
-                dy=twin.dy,
-                dx=twin.dx[1:],
-                method=self.name,
-            )
-        _, y_boxes = propagate_box(layers, input_box, collect=True)
-        x_boxes = [
-            y.relu() if layer.relu else y for layer, y in zip(layers, y_boxes)
-        ]
-        return LayerBounds(
-            input_box=input_box, y=y_boxes, x=x_boxes, method=self.name
-        )
+        return self.propagate_many(layers, input_box, delta).row(0)
 
     def propagate_many(
         self,
@@ -295,22 +271,16 @@ class IBPPropagator:
     ) -> BatchedLayerBounds:
         """Bound all ``Q`` stacked queries in one vectorized IBP pass.
 
-        Row ``q`` of the result is bit-identical to
-        ``self.propagate(layers, input_boxes.row(q), <delta row q>)``.
+        Row ``q`` of the result does not depend on the batch size: it is
+        bit-identical to ``self.propagate(layers, input_boxes.row(q),
+        <delta row q>)``.
         """
         stack = as_batched_box(input_boxes)
         delta_stack = as_batched_delta(deltas, stack.num_queries, stack.dim)
         if delta_stack is not None:
-            twin = propagate_twin_box_batch(layers, stack, delta_stack)
-            return BatchedLayerBounds(
-                input_box=twin.x[0],
-                y=twin.y,
-                x=twin.x[1:],
-                delta_box=twin.dx[0],
-                dy=twin.dy,
-                dx=twin.dx[1:],
-                method=self.name,
-            )
+            bounds = propagate_twin_box_batch(layers, stack, delta_stack)
+            bounds.method = self.name
+            return bounds
         _, y_stacks = propagate_box_batch(layers, stack, collect=True)
         x_stacks = [
             y.relu() if layer.relu else y for layer, y in zip(layers, y_stacks)
@@ -324,18 +294,6 @@ class TwinIBPPropagator(IBPPropagator):
     """Twin-network IBP: like ``"ibp"`` but a perturbation is mandatory."""
 
     name = "twin-ibp"
-
-    def propagate(
-        self,
-        layers: list[AffineLayer],
-        input_box: Box,
-        delta: float | Box | None = None,
-    ) -> LayerBounds:
-        if delta is None:
-            raise ValueError("twin-ibp requires a perturbation (delta)")
-        bounds = super().propagate(layers, input_box, delta)
-        bounds.method = self.name
-        return bounds
 
     def propagate_many(
         self,
@@ -384,49 +342,37 @@ def _check_batch_agreement(
     deltas: DeltaSpec,
     result: BatchedLayerBounds,
 ) -> None:
-    """Sanitizer: a sampled batched row must match its scalar propagation.
+    """Sanitizer: a sampled batched row must not depend on the batch size.
 
-    Re-runs the scalar ``propagate`` for one deterministically sampled
-    query and compares every per-layer array — the runtime analogue of
-    the bit-identity property tests, but exercised on *real* workloads
-    whenever ``REPRO_SANITIZE=1``.
+    Single-query ``propagate`` is the ``Q=1`` row of the same kernel, so
+    re-running it for one deterministically sampled query and comparing
+    every per-layer array checks that a row's bounds are independent of
+    the other rows in its batch — the runtime analogue of the
+    bit-identity property tests, exercised on *real* workloads whenever
+    ``REPRO_SANITIZE=1``.  For a third-party native ``propagate_many`` it
+    checks agreement with that engine's own ``propagate``.
     """
     queries = result.num_queries
     q = int(np.random.default_rng(queries * 1000003 + stack.dim).integers(queries))
-    scalar = engine.propagate(layers, stack.row(q), delta_row(deltas, q, stack.dim))
+    single = engine.propagate(layers, stack.row(q), delta_row(deltas, q, stack.dim))
     row = result.row(q)
     what = f"propagate_many[{engine.name}] query {q}/{queries}"
-    if row.num_layers != scalar.num_layers:
+    if row.num_layers != single.num_layers:
         raise _sanitize.SanitizerError(
             f"sanitizer[batch-row]: {what}: batched result covers "
-            f"{row.num_layers} layers, scalar propagation {scalar.num_layers}"
+            f"{row.num_layers} layers, single-query propagation {single.num_layers}"
         )
-    if row.has_distance != scalar.has_distance:
+    if row.has_distance != single.has_distance:
         raise _sanitize.SanitizerError(
-            f"sanitizer[batch-row]: {what}: batched and scalar results "
+            f"sanitizer[batch-row]: {what}: batched and single-query results "
             f"disagree on distance-bound presence"
         )
-    for t in range(row.num_layers):
-        _sanitize.check_batch_row(row.y[t].lo, scalar.y[t].lo, f"{what} y[{t}].lo")
-        _sanitize.check_batch_row(row.y[t].hi, scalar.y[t].hi, f"{what} y[{t}].hi")
-        _sanitize.check_batch_row(row.x[t].lo, scalar.x[t].lo, f"{what} x[{t}].lo")
-        _sanitize.check_batch_row(row.x[t].hi, scalar.x[t].hi, f"{what} x[{t}].hi")
-    if row.has_distance:
-        assert row.dy is not None and row.dx is not None
-        assert scalar.dy is not None and scalar.dx is not None
-        for t in range(row.num_layers):
-            _sanitize.check_batch_row(
-                row.dy[t].lo, scalar.dy[t].lo, f"{what} dy[{t}].lo"
-            )
-            _sanitize.check_batch_row(
-                row.dy[t].hi, scalar.dy[t].hi, f"{what} dy[{t}].hi"
-            )
-            _sanitize.check_batch_row(
-                row.dx[t].lo, scalar.dx[t].lo, f"{what} dx[{t}].lo"
-            )
-            _sanitize.check_batch_row(
-                row.dx[t].hi, scalar.dx[t].hi, f"{what} dx[{t}].hi"
-            )
+    kinds = ("y", "x", "dy", "dx") if row.has_distance else ("y", "x")
+    for kind in kinds:
+        pairs = zip(getattr(row, kind), getattr(single, kind))
+        for t, (got, want) in enumerate(pairs):
+            _sanitize.check_batch_row(got.lo, want.lo, f"{what} {kind}[{t}].lo")
+            _sanitize.check_batch_row(got.hi, want.hi, f"{what} {kind}[{t}].hi")
 
 
 def propagate_many(

@@ -48,25 +48,15 @@ from repro.bounds.propagator import (
     BoxStack,
     IBPPropagator,
     LayerBounds,
-    _as_delta_box,
     register_propagator,
 )
-from repro.bounds.twin_ibp import (
-    relu_distance_interval,
-    relu_distance_interval_batch,
-)
+from repro.bounds.twin_ibp import relu_distance_interval
 from repro.nn.affine import AffineLayer
 
 #: Linear relaxation of one activation layer: element-wise coefficient
 #: arrays ``(d_lo, b_lo, d_hi, b_hi)`` such that
 #: ``d_lo·y + b_lo ≤ act(y) ≤ d_hi·y + b_hi`` over the layer's y-range.
 Relaxation = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _identity_relaxation(dim: int) -> Relaxation:
-    one = np.ones(dim)
-    zero = np.zeros(dim)
-    return one, zero, one.copy(), zero.copy()
 
 
 def _identity_relaxation_batch(queries: int, dim: int) -> Relaxation:
@@ -76,11 +66,12 @@ def _identity_relaxation_batch(queries: int, dim: int) -> Relaxation:
 
 
 def _relu_relaxation_arrays(lo: np.ndarray, hi: np.ndarray) -> Relaxation:
-    """Element-wise core of :func:`_relu_relaxation`.
+    """CROWN relaxation of ``relu(y)`` over ``y ∈ [lo, hi]``.
 
-    Shape-agnostic (every operation is element-wise), so it serves both
-    the scalar ``(n,)`` path and the batched ``(Q, n)`` stacks with
-    bit-identical per-row results.
+    Stable-active → identity, stable-inactive → zero; unstable neurons
+    get the chord as upper bound and the adaptive identity/zero slope as
+    lower bound (minimizing the relaxation area).  Every operation is
+    element-wise, so rows of ``(Q, n)`` stacks are independent.
     """
     active = lo >= 0.0
     inactive = hi <= 0.0
@@ -94,23 +85,21 @@ def _relu_relaxation_arrays(lo: np.ndarray, hi: np.ndarray) -> Relaxation:
     return d_lo, b_lo, d_hi, b_hi
 
 
-def _relu_relaxation(y_box: Box) -> Relaxation:
-    """CROWN relaxation of ``relu(y)`` over ``y ∈ [lo, hi]``.
-
-    Stable-active → identity, stable-inactive → zero; unstable neurons
-    get the chord as upper bound and the adaptive identity/zero slope as
-    lower bound (minimizing the relaxation area).
-    """
-    return _relu_relaxation_arrays(y_box.lo, y_box.hi)
-
-
 def _distance_relaxation_arrays(
     y_lo: np.ndarray,
     y_hi: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
 ) -> Relaxation:
-    """Element-wise core of :func:`_distance_relaxation` (shape-agnostic)."""
+    """Linear envelope of ``Δx = relu(y + Δy) − relu(y)`` in ``Δy``.
+
+    Uses the Fig. 3 facts ``min(0, Δy) ≤ Δx ≤ max(0, Δy)``: the chord of
+    ``max(0, ·)`` over ``Δy ∈ [lo, hi]`` bounds above (convex), the chord
+    of ``min(0, ·)`` bounds below (concave).  Neurons whose value bounds
+    ``[y_lo, y_hi]`` prove both copies stably active substitute
+    ``Δx = Δy`` exactly; both-inactive neurons substitute ``Δx = 0``.
+    Element-wise, like :func:`_relu_relaxation_arrays`.
+    """
     yhat_lo = y_lo + lo
     yhat_hi = y_hi + hi
     both_active = (y_lo >= 0.0) & (yhat_lo >= 0.0)
@@ -131,69 +120,6 @@ def _distance_relaxation_arrays(
     return d_lo, b_lo, d_hi, b_hi
 
 
-def _distance_relaxation(y_box: Box, dy_box: Box) -> Relaxation:
-    """Linear envelope of ``Δx = relu(y + Δy) − relu(y)`` in ``Δy``.
-
-    Uses the Fig. 3 facts ``min(0, Δy) ≤ Δx ≤ max(0, Δy)``: the chord of
-    ``max(0, ·)`` over ``Δy ∈ [l, u]`` bounds above (convex), the chord
-    of ``min(0, ·)`` bounds below (concave).  Neurons whose value boxes
-    prove both copies stably active substitute ``Δx = Δy`` exactly;
-    both-inactive neurons substitute ``Δx = 0``.
-    """
-    return _distance_relaxation_arrays(
-        y_box.lo, y_box.hi, dy_box.lo, dy_box.hi
-    )
-
-
-def _backsubstitute(
-    layers: list[AffineLayer],
-    t: int,
-    box: Box,
-    relaxations: list[Relaxation],
-    with_bias: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concrete bounds of layer ``t``'s pre-activation by backsubstitution.
-
-    Starting from ``y(t) = W(t) h(t−1) (+ b(t))``, each earlier
-    activation ``h(k) = act(y(k))`` is replaced by its linear relaxation
-    (``relaxations[k]``, sign-split per coefficient) and each ``y(k)``
-    by its affine definition, until the bound is linear in the input;
-    the final pair is concretized over ``box``.  ``with_bias=False``
-    runs the same recursion in distance space (``Δy = W Δx``, biasless).
-
-    Returns:
-        ``(lo, hi)`` arrays for ``y(t)`` (or ``Δy(t)``).
-    """
-    a_lo = layers[t].weight.copy()
-    a_hi = layers[t].weight.copy()
-    if with_bias:
-        c_lo = layers[t].bias.copy()
-        c_hi = layers[t].bias.copy()
-    else:
-        c_lo = np.zeros(layers[t].out_dim)
-        c_hi = np.zeros(layers[t].out_dim)
-
-    for k in range(t - 1, -1, -1):
-        d_lo, b_lo, d_hi, b_hi = relaxations[k]
-        pos, neg = np.maximum(a_lo, 0.0), np.minimum(a_lo, 0.0)
-        c_lo = c_lo + pos @ b_lo + neg @ b_hi
-        a_lo = pos * d_lo + neg * d_hi
-        pos, neg = np.maximum(a_hi, 0.0), np.minimum(a_hi, 0.0)
-        c_hi = c_hi + pos @ b_hi + neg @ b_lo
-        a_hi = pos * d_hi + neg * d_lo
-        if with_bias:
-            c_lo = c_lo + a_lo @ layers[k].bias
-            c_hi = c_hi + a_hi @ layers[k].bias
-        a_lo = a_lo @ layers[k].weight
-        a_hi = a_hi @ layers[k].weight
-
-    pos, neg = np.maximum(a_lo, 0.0), np.minimum(a_lo, 0.0)
-    lo = pos @ box.lo + neg @ box.hi + c_lo
-    pos, neg = np.maximum(a_hi, 0.0), np.minimum(a_hi, 0.0)
-    hi = pos @ box.hi + neg @ box.lo + c_hi
-    return lo, hi
-
-
 def _backsubstitute_batch(
     layers: list[AffineLayer],
     t: int,
@@ -201,15 +127,22 @@ def _backsubstitute_batch(
     relaxations: list[Relaxation],
     with_bias: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Backsubstitution for all ``Q`` queries in one pass.
+    """Concrete bounds of layer ``t``'s pre-activation, for all ``Q`` queries.
 
-    The batched twin of :func:`_backsubstitute`: the coefficient
-    matrices carry a leading query axis (``(Q, m_t, m_k)``), relaxation
-    entries are ``(Q, m_k)`` stacks, and every matmul is arranged in the
-    *stacked* form (batch through numpy's leading axes, never folded
-    into a wider 2-D product) so each per-query slice runs the exact
-    scalar computation — row ``q`` of the result is bit-identical to
-    backsubstituting query ``q`` alone.
+    Starting from ``y(t) = W(t) h(t−1) (+ b(t))``, each earlier
+    activation ``h(k) = act(y(k))`` is replaced by its linear relaxation
+    (``relaxations[k]``, sign-split per coefficient) and each ``y(k)``
+    by its affine definition, until the bound is linear in the input;
+    the final pair is concretized over ``boxes``.  ``with_bias=False``
+    runs the same recursion in distance space (``Δy = W Δx``, biasless).
+
+    The coefficient matrices carry a leading query axis
+    (``(Q, m_t, m_k)``), relaxation entries are ``(Q, m_k)`` stacks, and
+    every matmul is arranged in the *stacked* form (batch through
+    numpy's leading axes, never folded into a wider 2-D product) so each
+    per-query slice runs the same 2-D computation whatever ``Q`` is —
+    row ``q`` of the result is bit-identical to backsubstituting query
+    ``q`` alone.
 
     The coefficients start 2-D (shared across the batch: layer ``t``'s
     weight) and pick up the query axis at the first per-query relaxation
@@ -283,70 +216,7 @@ class SymbolicPropagator:
         input_box: Box,
         delta: float | Box | None = None,
     ) -> LayerBounds:
-        ibp = self._ibp.propagate(layers, input_box, delta)
-
-        y_boxes: list[Box] = []
-        x_boxes: list[Box] = []
-        value_relax: list[Relaxation] = []
-        for t, layer in enumerate(layers):
-            lo, hi = _backsubstitute(layers, t, input_box, value_relax, with_bias=True)
-            y_box = Box(lo, hi).intersect(ibp.y[t])
-            if _sanitize.ENABLED:
-                _sanitize.check_containment(
-                    y_box.lo, y_box.hi, ibp.y[t].lo, ibp.y[t].hi,
-                    f"symbolic y[{t}] vs ibp",
-                )
-            y_boxes.append(y_box)
-            if layer.relu:
-                x_boxes.append(y_box.relu())
-                value_relax.append(_relu_relaxation(y_box))
-            else:
-                x_boxes.append(Box(y_box.lo.copy(), y_box.hi.copy()))
-                value_relax.append(_identity_relaxation(layer.out_dim))
-
-        if delta is None:
-            return LayerBounds(
-                input_box=input_box, y=y_boxes, x=x_boxes, method=self.name
-            )
-
-        delta_box = _as_delta_box(delta, input_box.dim)
-        dy_boxes: list[Box] = []
-        dx_boxes: list[Box] = []
-        dist_relax: list[Relaxation] = []
-        for t, layer in enumerate(layers):
-            lo, hi = _backsubstitute(
-                layers, t, delta_box, dist_relax, with_bias=False
-            )
-            dy_box = Box(lo, hi).intersect(ibp.dy[t])
-            if _sanitize.ENABLED:
-                _sanitize.check_containment(
-                    dy_box.lo, dy_box.hi, ibp.dy[t].lo, ibp.dy[t].hi,
-                    f"symbolic dy[{t}] vs ibp",
-                )
-            dy_boxes.append(dy_box)
-            if layer.relu:
-                dx_box = relu_distance_interval(y_boxes[t], dy_box)
-                dist_relax.append(_distance_relaxation(y_boxes[t], dy_box))
-            else:
-                dx_box = Box(dy_box.lo.copy(), dy_box.hi.copy())
-                dist_relax.append(_identity_relaxation(layer.out_dim))
-            dx_box = dx_box.intersect(ibp.dx[t])
-            if _sanitize.ENABLED:
-                _sanitize.check_containment(
-                    dx_box.lo, dx_box.hi, ibp.dx[t].lo, ibp.dx[t].hi,
-                    f"symbolic dx[{t}] vs ibp",
-                )
-            dx_boxes.append(dx_box)
-
-        return LayerBounds(
-            input_box=input_box,
-            y=y_boxes,
-            x=x_boxes,
-            delta_box=delta_box,
-            dy=dy_boxes,
-            dx=dx_boxes,
-            method=self.name,
-        )
+        return self.propagate_many(layers, input_box, delta).row(0)
 
     def propagate_many(
         self,
@@ -356,11 +226,10 @@ class SymbolicPropagator:
     ) -> BatchedLayerBounds:
         """One backsubstitution pass serving all ``Q`` stacked queries.
 
-        Identical structure to :meth:`propagate` — batched IBP first,
-        per-layer batched backsubstitution intersected tightest-wins
-        with the IBP stacks — with every kernel in the stacked-matmul
-        form, so row ``q`` of the result is bit-identical to the scalar
-        ``propagate`` of query ``q``.
+        Batched IBP first, then per-layer batched backsubstitution
+        intersected tightest-wins with the IBP stacks, with every kernel
+        in the stacked-matmul form — so row ``q`` of the result is
+        bit-identical to :meth:`propagate` of query ``q`` alone.
         """
         stack = as_batched_box(input_boxes)
         queries = stack.num_queries
@@ -378,7 +247,7 @@ class SymbolicPropagator:
             if _sanitize.ENABLED:
                 _sanitize.check_containment(
                     y_stack.lo, y_stack.hi, ibp.y[t].lo, ibp.y[t].hi,
-                    f"symbolic-batch y[{t}] vs ibp",
+                    f"symbolic y[{t}] vs ibp",
                 )
             y_stacks.append(y_stack)
             if layer.relu:
@@ -409,11 +278,11 @@ class SymbolicPropagator:
             if _sanitize.ENABLED:
                 _sanitize.check_containment(
                     dy_stack.lo, dy_stack.hi, ibp.dy[t].lo, ibp.dy[t].hi,
-                    f"symbolic-batch dy[{t}] vs ibp",
+                    f"symbolic dy[{t}] vs ibp",
                 )
             dy_stacks.append(dy_stack)
             if layer.relu:
-                dx_stack = relu_distance_interval_batch(y_stacks[t], dy_stack)
+                dx_stack = relu_distance_interval(y_stacks[t], dy_stack)
                 dist_relax.append(
                     _distance_relaxation_arrays(
                         y_stacks[t].lo, y_stacks[t].hi,
@@ -429,7 +298,7 @@ class SymbolicPropagator:
             if _sanitize.ENABLED:
                 _sanitize.check_containment(
                     dx_stack.lo, dx_stack.hi, ibp.dx[t].lo, ibp.dx[t].hi,
-                    f"symbolic-batch dx[{t}] vs ibp",
+                    f"symbolic dx[{t}] vs ibp",
                 )
             dx_stacks.append(dx_stack)
 

@@ -15,39 +15,18 @@ MILP encodings and the initial range table of Algorithm 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import TypeVar
 
 import numpy as np
 
-from repro.bounds.batched import BatchedBox
+from repro.bounds.batched import BatchedBox, BatchedLayerBounds
 from repro.bounds.interval import Box
 from repro.nn.affine import AffineLayer
 
-
-@dataclass
-class TwinBounds:
-    """Per-layer interval records of a twin propagation.
-
-    Attributes:
-        x: Value box of the first copy after each layer (index 0 is the
-            input box).
-        dx: Distance box after each layer (index 0 is the perturbation).
-        y: Pre-activation value box per layer (index i bounds y(i+1)).
-        dy: Pre-activation distance box per layer.
-    """
-
-    x: list[Box] = field(default_factory=list)
-    dx: list[Box] = field(default_factory=list)
-    y: list[Box] = field(default_factory=list)
-    dy: list[Box] = field(default_factory=list)
-
-    @property
-    def output_distance(self) -> Box:
-        """Distance box of the network output (Δx(n))."""
-        return self.dx[-1]
+BoxT = TypeVar("BoxT", Box, BatchedBox)
 
 
-def relu_distance_interval(y_box: Box, dy_box: Box) -> Box:
+def relu_distance_interval(y_box: BoxT, dy_box: BoxT) -> BoxT:
     """Sound interval for ``Δx = relu(y + Δy) − relu(y)``.
 
     Intersects two valid enclosures:
@@ -57,9 +36,12 @@ def relu_distance_interval(y_box: Box, dy_box: Box) -> Box:
        independent) value enclosures ``relu(ŷ) − relu(y)``.
 
     Degenerate cases where both copies are certainly active (identity)
-    or certainly inactive (zero) are exact.
+    or certainly inactive (zero) are exact.  Every operation is
+    element-wise, so the same body serves a :class:`Box` and the rows
+    of a :class:`BatchedBox` stack, returning the operands' type.
     """
-    yhat_box = Box(y_box.lo + dy_box.lo, y_box.hi + dy_box.hi)
+    cls = type(y_box)
+    yhat_box = cls(y_box.lo + dy_box.lo, y_box.hi + dy_box.hi)
 
     # Certainly-active: Δx = Δy exactly.
     both_active = (y_box.lo >= 0.0) & (yhat_box.lo >= 0.0)
@@ -79,106 +61,18 @@ def relu_distance_interval(y_box: Box, dy_box: Box) -> Box:
 
     lo = np.where(both_active, dy_box.lo, np.where(both_inactive, 0.0, lo))
     hi = np.where(both_active, dy_box.hi, np.where(both_inactive, 0.0, hi))
-    return Box(lo, hi)
-
-
-@dataclass
-class BatchedTwinBounds:
-    """Per-layer ``(Q, n)`` stacks of a batched twin propagation.
-
-    The stacked twin of :class:`TwinBounds`; indexing conventions match
-    (``x[0]``/``dx[0]`` are the input/perturbation stacks).
-    """
-
-    x: list[BatchedBox] = field(default_factory=list)
-    dx: list[BatchedBox] = field(default_factory=list)
-    y: list[BatchedBox] = field(default_factory=list)
-    dy: list[BatchedBox] = field(default_factory=list)
-
-    @property
-    def output_distance(self) -> BatchedBox:
-        """Distance stack of the network output (Δx(n))."""
-        return self.dx[-1]
-
-
-def relu_distance_interval_batch(
-    y_boxes: BatchedBox, dy_boxes: BatchedBox
-) -> BatchedBox:
-    """Row-wise :func:`relu_distance_interval` over ``(Q, n)`` stacks.
-
-    The scalar body is purely element-wise, so running it on stacked
-    arrays yields rows bit-identical to the per-query calls.
-    """
-    yhat_boxes = BatchedBox(
-        y_boxes.lo + dy_boxes.lo, y_boxes.hi + dy_boxes.hi
-    )
-
-    both_active = (y_boxes.lo >= 0.0) & (yhat_boxes.lo >= 0.0)
-    both_inactive = (y_boxes.hi <= 0.0) & (yhat_boxes.hi <= 0.0)
-
-    lo1 = np.minimum(0.0, dy_boxes.lo)
-    hi1 = np.maximum(0.0, dy_boxes.hi)
-
-    relu_y = y_boxes.relu()
-    relu_yhat = yhat_boxes.relu()
-    lo2 = relu_yhat.lo - relu_y.hi
-    hi2 = relu_yhat.hi - relu_y.lo
-
-    lo = np.maximum(lo1, lo2)
-    hi = np.minimum(hi1, hi2)
-
-    lo = np.where(both_active, dy_boxes.lo, np.where(both_inactive, 0.0, lo))
-    hi = np.where(both_active, dy_boxes.hi, np.where(both_inactive, 0.0, hi))
-    return BatchedBox(lo, hi)
-
-
-def propagate_twin_box(
-    layers: list[AffineLayer], input_box: Box, delta: float | Box
-) -> TwinBounds:
-    """Propagate value and distance boxes through an affine chain.
-
-    Args:
-        layers: Normal-form network.
-        input_box: Box over the flattened input domain ``X``.
-        delta: Input perturbation — either the L∞ radius δ (a float) or
-            an explicit distance box.
-
-    Returns:
-        A :class:`TwinBounds` with per-layer value/distance intervals.
-    """
-    if isinstance(delta, Box):
-        dx_box = delta
-        if dx_box.dim != input_box.dim:
-            raise ValueError("perturbation box dimension mismatch")
-    else:
-        dx_box = Box.uniform(input_box.dim, -float(delta), float(delta))
-
-    bounds = TwinBounds(x=[input_box], dx=[dx_box])
-    x_box, d_box = input_box, dx_box
-    for layer in layers:
-        y_box = x_box.affine(layer.weight, layer.bias)
-        dy_box = d_box.affine(layer.weight, 0.0)
-        bounds.y.append(y_box)
-        bounds.dy.append(dy_box)
-        if layer.relu:
-            x_box = y_box.relu()
-            d_box = relu_distance_interval(y_box, dy_box)
-        else:
-            x_box, d_box = y_box, dy_box
-        bounds.x.append(x_box)
-        bounds.dx.append(d_box)
-    return bounds
+    return cls(lo, hi)
 
 
 def propagate_twin_box_batch(
     layers: list[AffineLayer], input_boxes: BatchedBox, deltas: BatchedBox
-) -> BatchedTwinBounds:
+) -> BatchedLayerBounds:
     """Propagate value and distance stacks through an affine chain at once.
 
-    The batched twin of :func:`propagate_twin_box`; row ``q`` of every
-    stack is bit-identical to the scalar propagation of query ``q``.
-    Unlike the scalar entry point, the perturbation must already be a
-    ``(Q, n)`` stack (use :func:`repro.bounds.batched.as_batched_delta`).
+    The one twin-IBP kernel: a single query is the ``Q=1`` stack, and
+    row ``q`` of every stack does not depend on the batch size.  The
+    perturbation must already be a ``(Q, n)`` stack (use
+    :func:`repro.bounds.batched.as_batched_delta`).
     """
     if deltas.num_queries != input_boxes.num_queries:
         raise ValueError(
@@ -188,18 +82,23 @@ def propagate_twin_box_batch(
     if deltas.dim != input_boxes.dim:
         raise ValueError("perturbation box dimension mismatch")
 
-    bounds = BatchedTwinBounds(x=[input_boxes], dx=[deltas])
+    y: list[BatchedBox] = []
+    x: list[BatchedBox] = []
+    dy: list[BatchedBox] = []
+    dx: list[BatchedBox] = []
     x_boxes, d_boxes = input_boxes, deltas
     for layer in layers:
         y_boxes = x_boxes.affine(layer.weight, layer.bias)
         dy_boxes = d_boxes.affine(layer.weight, 0.0)
-        bounds.y.append(y_boxes)
-        bounds.dy.append(dy_boxes)
+        y.append(y_boxes)
+        dy.append(dy_boxes)
         if layer.relu:
             x_boxes = y_boxes.relu()
-            d_boxes = relu_distance_interval_batch(y_boxes, dy_boxes)
+            d_boxes = relu_distance_interval(y_boxes, dy_boxes)
         else:
             x_boxes, d_boxes = y_boxes, dy_boxes
-        bounds.x.append(x_boxes)
-        bounds.dx.append(d_boxes)
-    return bounds
+        x.append(x_boxes)
+        dx.append(d_boxes)
+    return BatchedLayerBounds(
+        input_box=input_boxes, y=y, x=x, delta_box=deltas, dy=dy, dx=dx
+    )

@@ -648,32 +648,12 @@ class _SplitRun:
 
     # -- per-box primitives --------------------------------------------------
 
-    def evaluate(self, box: Box, depth: int) -> _QueueItem:
-        """Propagate per-subdomain bounds and build the queue entry."""
-        self.domains += 1
-        if self.kind == "local":
-            bounds = self.propagator.propagate(self.layers, box)
-            out = bounds.output
-            eps_ub = variation_from_reference(out.lo, out.hi, self.base)
-        else:
-            bounds = self.propagator.propagate(self.layers, box, self.delta)
-            eps_ub = bounds.output_variation_bounds()
-        return _QueueItem(
-            priority=self.epsilon - float(eps_ub.max()),
-            seq=next(self.seq),
-            depth=depth,
-            box=box,
-            bounds=bounds,
-            eps_ub=eps_ub,
-        )
-
     def evaluate_many(self, boxes: list[Box], depths: list[int]) -> list[_QueueItem]:
         """Bound a whole frontier wave in one batched propagation.
 
-        One :func:`~repro.bounds.propagator.propagate_many` call
-        replaces one ``propagate`` per child.  Every returned queue
-        entry is bit-identical to :meth:`evaluate` on its box (batched
-        rows match scalar propagation exactly), so the wave size only
+        One :func:`~repro.bounds.propagator.propagate_many` call bounds
+        every box (the root is a wave of one).  A batched row is
+        bit-identical to propagating its box alone, so the wave size only
         changes *when* boxes are bounded, never what their bounds are.
         """
         self.domains += len(boxes)
@@ -725,7 +705,7 @@ class _SplitRun:
     def run(self) -> dict:
         """Drive the queue to a verdict; returns the result summary."""
         refuted_eps: np.ndarray | None = None
-        root_item = self.evaluate(self.root, depth=0)
+        root_item = self.evaluate_many([self.root], [0])[0]
         self.root_bounds = root_item.bounds
         heap: list[_QueueItem] = []
         if float(root_item.eps_ub.max()) <= self.epsilon:

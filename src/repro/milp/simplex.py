@@ -28,6 +28,9 @@ from repro.milp.solution import SolveStatus
 
 _BIG = 1e15
 
+#: Largest phase-1 residual (sum of artificials) still taken as feasible.
+_FEAS_TOL = 1e-7
+
 #: Consecutive degenerate (zero-step) Dantzig pivots tolerated before
 #: switching to Bland's rule; a non-degenerate pivot switches back.
 _DEGENERATE_STREAK = 12
@@ -241,16 +244,30 @@ def _phase1(
     status, iters = _iterate(tableau, basis, obj, cols + m, max_iter, tol, pricing)
     if status is not SolveStatus.OPTIMAL:
         return status, basis, tableau, iters
-    if -obj[-1] > 1e-7:
+    if -obj[-1] > _FEAS_TOL:
         return SolveStatus.INFEASIBLE, basis, tableau, iters
-    # Pivot artificials out of the basis where possible.
+    # Pivot artificials out of the basis where possible.  Pivoting out an
+    # artificial at value v on entry p moves every row by (column) * v / p,
+    # so a column is only taken if it leaves no row below both -_FEAS_TOL
+    # and its old value.  A nonzero residual v that no column can absorb
+    # that way is real infeasibility, small only in the scale of a row of
+    # tiny coefficients, so it is reported as such.
     for row_idx, col in enumerate(basis):
-        if col >= cols:
-            pivot_col = next(
-                (j for j in range(cols) if abs(tableau[row_idx, j]) > tol), None
-            )
-            if pivot_col is not None:
-                _pivot(tableau, obj, basis, row_idx, pivot_col)
+        if col < cols:
+            continue
+        rhs = tableau[:, -1]
+        candidates = [j for j in range(cols) if abs(tableau[row_idx, j]) > tol]
+        if not candidates:
+            continue
+        for j in candidates:
+            step = rhs[row_idx] / tableau[row_idx, j]
+            moved = rhs - tableau[:, j] * step
+            moved[row_idx] = step
+            if np.all((moved >= -_FEAS_TOL) | (moved >= rhs)):
+                _pivot(tableau, obj, basis, row_idx, j)
+                break
+        else:
+            return SolveStatus.INFEASIBLE, basis, tableau, iters
     keep = list(range(cols)) + [tableau.shape[1] - 1]
     tableau = tableau[:, keep]
     return SolveStatus.OPTIMAL, basis, tableau, iters
@@ -314,11 +331,25 @@ def _iterate(
         if not eligible.any():
             return SolveStatus.UNBOUNDED, iteration
         ratios = np.full(m, math.inf)
-        ratios[eligible] = tableau[eligible, -1] / column[eligible]
+        # A basic value that rounding (or a column entry below ``tol``)
+        # left slightly negative is a degenerate (zero) step, not a
+        # backward one: a negative value over a small pivot would push
+        # the entering column far out.  The leaving row is snapped to 0
+        # below for the same reason.
+        values = np.maximum(tableau[eligible, -1], 0.0)
+        ratios[eligible] = values / column[eligible]
         min_ratio = float(ratios.min())
-        ties = np.flatnonzero(ratios <= min_ratio + tol)
+        # A tied row must also be a step no row can go below -tol on:
+        # with a large column entry, a ratio only ``tol`` above the
+        # minimum would drive the minimum's row far negative.
+        max_step = float(((values + tol) / column[eligible]).min())
+        ties = np.flatnonzero(
+            (ratios <= min_ratio + tol) & (ratios <= max_step)
+        )
         leaving_row = int(ties[np.argmin(np.asarray(basis)[ties])])
         degenerate_streak = 0 if min_ratio > tol else degenerate_streak + 1
+        if tableau[leaving_row, -1] < 0.0:
+            tableau[leaving_row, -1] = 0.0
         _pivot(tableau, obj, basis, leaving_row, entering)
     return SolveStatus.ITERATION_LIMIT, max_iter
 

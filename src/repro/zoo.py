@@ -11,7 +11,8 @@ certified in hours on a workstation.  To keep the full benchmark suite
 runnable in CI, the zoo's conv nets use a 14×14 canvas and reduced
 channel counts (hundreds of hidden neurons); the certification code
 paths (conv→affine materialization, per-neuron LP, refinement) are
-identical, only wall-clock scale differs.  See EXPERIMENTS.md.
+identical, only wall-clock scale differs.  ``perfbench/README.md``
+records the DNN-6 canvas sizes the benchmark runs and their cost.
 """
 
 from __future__ import annotations

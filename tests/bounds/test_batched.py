@@ -1,11 +1,14 @@
-"""Batched propagation: bit-identity with the scalar path (unit + property).
+"""Batched propagation: bit-identity per row (unit + property).
 
 The load-bearing contract of :mod:`repro.bounds.batched` is not mere
 closeness — every row of a batched result must be **bitwise equal** to
-running the scalar propagator on that row's box.  These tests pin that
-contract for every registered engine, for the loop fallback third-party
-propagators get, and for the ``REPRO_SANITIZE=1`` batch-row agreement
-check that guards native batched implementations at runtime.
+the independent single-query reference kernels of
+``tests/bounds/_reference.py`` on that row's box, and to the engine's
+own ``propagate`` (the ``Q=1`` row of the same kernel), so a row never
+depends on the batch size.  These tests pin that contract for every
+registered engine, for the loop fallback third-party propagators get,
+and for the ``REPRO_SANITIZE=1`` batch-row agreement check that guards
+native batched implementations at runtime.
 """
 
 import numpy as np
@@ -25,6 +28,7 @@ from repro.bounds import (
     propagate_many,
 )
 from repro.nn.affine import AffineLayer
+from tests.bounds._reference import reference_propagate
 
 
 def random_chain(rng, depth=3, width=5, in_dim=4, out_dim=2):
@@ -147,18 +151,26 @@ class TestPropagateManyBitIdentity:
             delta_specs.append(None)
         for deltas in delta_specs:
             batched = propagate_many(name, layers, stack, deltas)
-            scalar_rows = [
-                get_propagator(name).propagate(
-                    layers,
-                    stack.row(q),
-                    None if deltas is None else float(np.ravel(deltas)[0])
-                    if np.size(deltas) == 1
-                    else float(np.ravel(deltas)[q]),
-                )
+            row_deltas = [
+                None if deltas is None else float(np.ravel(deltas)[0])
+                if np.size(deltas) == 1
+                else float(np.ravel(deltas)[q])
                 for q in range(queries)
             ]
-            assert_rows_bit_identical(batched, scalar_rows)
-            assert batched.method == scalar_rows[0].method
+            # Parity with the independent single-query reference kernels.
+            reference_rows = [
+                reference_propagate(name, layers, stack.row(q), row_deltas[q])
+                for q in range(queries)
+            ]
+            assert_rows_bit_identical(batched, reference_rows)
+            assert batched.method == reference_rows[0].method
+            # Batch-size independence: each row equals its Q=1 propagate.
+            single_rows = [
+                get_propagator(name).propagate(layers, stack.row(q), row_deltas[q])
+                for q in range(queries)
+            ]
+            assert_rows_bit_identical(batched, single_rows)
+            assert batched.method == single_rows[0].method
 
     def test_box_delta_and_box_list_inputs(self):
         rng = np.random.default_rng(7)
@@ -243,3 +255,6 @@ class TestBatchRowSanitizer:
         per_query = as_batched_delta(np.array([0.1, 0.2, 0.3]), 3, 4)
         assert per_query.num_queries == 3
         np.testing.assert_array_equal(per_query.hi[1], np.full(4, 0.2))
+        # A numpy scalar radius is one shared radius, as a float is.
+        shared = as_batched_delta(np.float32(0.25), 3, 4)
+        np.testing.assert_array_equal(shared.lo, np.full((3, 4), -0.25))

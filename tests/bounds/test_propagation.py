@@ -1,13 +1,18 @@
-"""IBP and twin-IBP soundness (unit + property tests)."""
+"""IBP and twin-IBP soundness (unit + property tests).
+
+Soundness is checked on the engines' ``propagate``; parity is checked
+against the independent single-query kernels of ``_reference.py``.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bounds import Box, propagate_box, propagate_twin_box, relu_distance_interval
+from repro.bounds import Box, get_propagator, relu_distance_interval
 from repro.bounds.ranges import RangeTable
 from repro.nn.affine import AffineLayer, affine_chain_forward
+from tests.bounds import _reference
 
 
 def random_chain(rng, depth=2, width=4, in_dim=3, out_dim=2):
@@ -25,13 +30,19 @@ def random_chain(rng, depth=2, width=4, in_dim=3, out_dim=2):
     return layers
 
 
+def assert_boxes_equal(left, right):
+    np.testing.assert_array_equal(left.lo, right.lo)
+    np.testing.assert_array_equal(left.hi, right.hi)
+
+
 class TestIbp:
     def test_contains_sampled_outputs(self):
         rng = np.random.default_rng(0)
         for trial in range(20):
             layers = random_chain(rng, depth=3)
             box = Box.uniform(3, -1.0, 1.0)
-            out_box = propagate_box(layers, box)
+            out_box = get_propagator("ibp").propagate(layers, box).output
+            assert_boxes_equal(out_box, _reference.propagate_box(layers, box))
             for _ in range(50):
                 x = box.sample(rng)[0]
                 assert out_box.contains(affine_chain_forward(layers, x), tol=1e-7)
@@ -40,15 +51,18 @@ class TestIbp:
         rng = np.random.default_rng(1)
         layers = random_chain(rng, depth=3)
         box = Box.uniform(3, -1.0, 1.0)
-        out, pre = propagate_box(layers, box, collect=True)
-        assert len(pre) == 3
-        assert pre[-1].dim == out.dim
+        bounds = get_propagator("ibp").propagate(layers, box)
+        assert len(bounds.y) == 3
+        assert bounds.y[-1].dim == bounds.output.dim
+        _, pre = _reference.propagate_box(layers, box, collect=True)
+        for got, want in zip(bounds.y, pre):
+            assert_boxes_equal(got, want)
 
     def test_point_box_is_exact(self):
         rng = np.random.default_rng(2)
         layers = random_chain(rng)
         x = rng.standard_normal(3)
-        out = propagate_box(layers, Box.point(x))
+        out = get_propagator("ibp").propagate(layers, Box.point(x)).output
         assert np.allclose(out.lo, out.hi)
         assert np.allclose(out.lo, affine_chain_forward(layers, x))
 
@@ -66,6 +80,9 @@ class TestReluDistanceInterval:
         y_box = Box(np.array([y - spread]), np.array([y + spread]))
         dy_box = Box(np.array([dy_lo]), np.array([dy_hi]))
         interval = relu_distance_interval(y_box, dy_box)
+        assert_boxes_equal(
+            interval, _reference.relu_distance_interval(y_box, dy_box)
+        )
         rng = np.random.default_rng(int(abs(y * 1000)) % 2**31)
         for _ in range(10):
             yy = rng.uniform(y - spread, y + spread)
@@ -100,20 +117,26 @@ class TestTwinIbp:
             layers = random_chain(rng, depth=3)
             box = Box.uniform(3, -1.0, 1.0)
             delta = 0.1
-            twin = propagate_twin_box(layers, box, delta)
+            twin = get_propagator("twin-ibp").propagate(layers, box, delta)
+            ref = _reference.propagate_twin_box(layers, box, delta)
+            for t in range(len(layers)):
+                assert_boxes_equal(twin.y[t], ref.y[t])
+                assert_boxes_equal(twin.dy[t], ref.dy[t])
+                assert_boxes_equal(twin.x[t], ref.x[t + 1])
+                assert_boxes_equal(twin.dx[t], ref.dx[t + 1])
             for _ in range(30):
                 x = box.sample(rng)[0]
                 dx = rng.uniform(-delta, delta, 3)
                 xh = np.clip(x + dx, box.lo, box.hi)
                 out = affine_chain_forward(layers, x)
                 out_h = affine_chain_forward(layers, xh)
-                assert twin.x[-1].contains(out, tol=1e-7)
+                assert twin.output.contains(out, tol=1e-7)
                 assert twin.output_distance.contains(out_h - out, tol=1e-7)
 
     def test_zero_delta_gives_zero_distance(self):
         rng = np.random.default_rng(4)
         layers = random_chain(rng)
-        twin = propagate_twin_box(layers, Box.uniform(3, -1, 1), 0.0)
+        twin = get_propagator("twin-ibp").propagate(layers, Box.uniform(3, -1, 1), 0.0)
         assert np.allclose(twin.output_distance.lo, 0.0)
         assert np.allclose(twin.output_distance.hi, 0.0)
 
@@ -121,8 +144,8 @@ class TestTwinIbp:
         rng = np.random.default_rng(5)
         layers = random_chain(rng)
         box = Box.uniform(3, -1, 1)
-        small = propagate_twin_box(layers, box, 0.01)
-        large = propagate_twin_box(layers, box, 0.1)
+        small = get_propagator("twin-ibp").propagate(layers, box, 0.01)
+        large = get_propagator("twin-ibp").propagate(layers, box, 0.1)
         assert np.all(large.output_distance.hi >= small.output_distance.hi - 1e-12)
         assert np.all(large.output_distance.lo <= small.output_distance.lo + 1e-12)
 
@@ -130,14 +153,18 @@ class TestTwinIbp:
         rng = np.random.default_rng(6)
         layers = random_chain(rng)
         box = Box.uniform(3, -1, 1)
-        twin = propagate_twin_box(layers, box, Box.uniform(3, -0.05, 0.05))
-        assert twin.dx[0].scalar(0) == (-0.05, 0.05)
+        twin = get_propagator("twin-ibp").propagate(
+            layers, box, Box.uniform(3, -0.05, 0.05)
+        )
+        assert twin.delta_box.scalar(0) == (-0.05, 0.05)
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(7)
         layers = random_chain(rng)
         with pytest.raises(ValueError):
-            propagate_twin_box(layers, Box.uniform(3, -1, 1), Box.uniform(2, -0.1, 0.1))
+            get_propagator("twin-ibp").propagate(
+                layers, Box.uniform(3, -1, 1), Box.uniform(2, -0.1, 0.1)
+            )
 
 
 class TestRangeTable:

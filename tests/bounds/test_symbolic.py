@@ -55,7 +55,7 @@ class TestRegistry:
 
 class TestLayerBounds:
     def test_ibp_matches_legacy_propagation(self):
-        from repro.bounds import propagate_box, propagate_twin_box
+        from tests.bounds._reference import propagate_box, propagate_twin_box
 
         rng = np.random.default_rng(1)
         layers = random_chain(rng)
@@ -64,10 +64,10 @@ class TestLayerBounds:
         _, legacy_pre = propagate_box(layers, box, collect=True)
         twin = propagate_twin_box(layers, box, 0.05)
         for i in range(len(layers)):
-            assert np.allclose(bounds.y[i].lo, legacy_pre[i].lo)
-            assert np.allclose(bounds.y[i].hi, legacy_pre[i].hi)
-            assert np.allclose(bounds.dy[i].lo, twin.dy[i].lo)
-            assert np.allclose(bounds.dx[i].hi, twin.dx[i + 1].hi)
+            np.testing.assert_array_equal(bounds.y[i].lo, legacy_pre[i].lo)
+            np.testing.assert_array_equal(bounds.y[i].hi, legacy_pre[i].hi)
+            np.testing.assert_array_equal(bounds.dy[i].lo, twin.dy[i].lo)
+            np.testing.assert_array_equal(bounds.dx[i].hi, twin.dx[i + 1].hi)
 
     def test_value_only_has_no_distance(self):
         rng = np.random.default_rng(2)

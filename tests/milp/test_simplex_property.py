@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import scipy.optimize as sopt
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.milp.simplex import solve_lp
@@ -49,7 +49,16 @@ def test_simplex_matches_highs(instance):
         assert mine.status.value == "infeasible"
 
 
+# A row with a tiny coefficient (-1.2e-7 x <= 0, i.e. x >= 0).  Pivoting
+# an artificial out on such an entry, or an absolute tie window in the
+# ratio test, returned points violating other rows by up to 0.5.
+_TINY_ROW = np.array([[1.0], [-1.1920929e-07]])
+
+
 @given(lp_instances())
+@example((np.array([0.0]), _TINY_ROW, np.array([-0.5, 0.0]), [(-1.0, 0.0)]))
+@example((np.array([0.0]), _TINY_ROW, np.array([0.0078125, 0.0]), [(-1.0, 0.0)]))
+@example((np.array([0.0]), _TINY_ROW, np.array([-0.0078125, 0.0]), [(-1.0, 0.0)]))
 @settings(max_examples=40, deadline=None)
 def test_simplex_solution_is_feasible(instance):
     c, a, b, bounds = instance
