@@ -11,10 +11,11 @@ LINT_PATHS := src benchmarks tests
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
-# CI chaos job: runtime + certify suites with every worker process
-# raising one injected fault, then the fault suite itself env-free.
+# CI chaos job: runtime + certify suites with every worker process of
+# every fan-out (batch queries, split leaves, objective chunks) raising
+# one injected fault, then the fault suite itself env-free.
 test-chaos:
-	REPRO_FAULTS="batch.worker:raise@1" PYTHONPATH=src \
+	REPRO_FAULTS="batch.worker:raise@1;split.leaf:raise@1;solve.chunk:raise@1" PYTHONPATH=src \
 		$(PYTHON) -m pytest -x -q tests/runtime tests/certify
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/runtime/test_faults.py
 

@@ -61,7 +61,10 @@ class CertifierConfig:
             Each layer's min/max objectives are independent, so with
             ``workers > 1`` they are fanned across processes via
             :func:`repro.runtime.batch.parallel_solve_many` (results are
-            identical to the serial path; 1 = serial, the default).
+            identical to the serial path; 1 = serial, the default).  The
+            count is honoured as given; chunks run on the package's one
+            supervised executor, and a chunk whose worker fails is
+            re-solved in this process.
         verbose: Print per-layer progress.
     """
 

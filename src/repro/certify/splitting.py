@@ -53,6 +53,8 @@ from repro.milp.expr import as_expr
 from repro.milp.solution import SolveStatus
 from repro.nn.affine import AffineLayer, affine_chain_forward
 from repro.nn.network import Network, as_affine_chain
+from repro.runtime.executor import SupervisedMap, pool_size
+from repro.runtime.retry import RetryPolicy
 
 __all__ = ["SplitConfig", "certify_local_split", "certify_global_split"]
 
@@ -93,8 +95,13 @@ class SplitConfig:
             verdict is ``"undecided"`` and ``exact=False``.
         leaf_workers: Process count for solving leaf MILPs concurrently
             (``None`` = serial; the batch engine grants its worker
-            budget here when a split query runs inline).  Ignored when
-            ``warm_start`` is set — a warm session is inherently serial.
+            budget here when a split query runs inline, by default the
+            CPUs in the process's affinity mask).  Leaves run on
+            the package's one supervised executor: each gets its share
+            of ``time_limit`` when a worker is free for it, and leaves
+            not dispatched before the deadline stay undecided.  Ignored
+            when ``warm_start`` is set — a warm session is inherently
+            serial.
         warm_start: Solve all MILP leaves through one shared
             :class:`~repro.milp.session.SolverSession` over the *root*
             encoding: each leaf only tightens the input-variable bounds
@@ -493,9 +500,9 @@ class _SessionLeafSolver:
         self.session.close()
 
 
-def _leaf_worker(payload) -> _LeafOutcome:
-    """Picklable entry point for parallel leaf solving."""
-    kind, layers, leaf, extra, backend, time_limit = payload
+def _leaf_worker(payload, time_limit: float | None = None) -> _LeafOutcome:
+    """Picklable entry point for one leaf MILP (pool worker or inline)."""
+    kind, layers, leaf, extra, backend = payload
     if _faults.ENABLED:
         _faults.fault_point("split.leaf")
     if kind == "local":
@@ -518,9 +525,10 @@ def _solve_leaves(
     """Solve every leaf MILP, worst-excess first, optionally in parallel.
 
     Returns one outcome per leaf (input order); ``None`` marks a leaf
-    the deadline prevented from being solved at all.  Parallel mode
-    reuses the batch engine's pool machinery (and its fall-back-serial
-    contract on platforms that cannot fork).  With
+    the deadline prevented from being solved at all.  Leaves run on the
+    package's one :class:`~repro.runtime.executor.SupervisedMap`; a leaf
+    that fails transiently is re-solved inline with one retry, after
+    which it stays undecided (sound).  With
     ``config.warm_start`` the leaves run serially through one shared
     :class:`_SessionLeafSolver` instead (total pivots reported via
     ``pivot_sink["pivots"]``).
@@ -548,52 +556,20 @@ def _solve_leaves(
             return outcomes
         finally:
             solver.close()
-    from repro.runtime.batch import _POOL_FAILURES
 
-    transient = _POOL_FAILURES + (_faults.InjectedFault,)
-    workers = 1 if config.leaf_workers is None else config.leaf_workers
-    workers = min(workers, len(leaves))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor, as_completed
+    def solve_inline(payload, reason: str, attempts: int) -> _LeafOutcome | None:
+        return SupervisedMap(
+            _leaf_worker, [payload], None, RetryPolicy(max_attempts=2, base_delay=0.0),
+            lambda *_: None, deadline=deadline,
+        ).run()[0]
 
-        remaining = None if deadline is None else deadline - time.perf_counter()
-        if remaining is not None and remaining <= 0:
-            return outcomes
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(_leaf_worker, (
-                        kind, layers, leaves[i], extra, config.backend,
-                        remaining,
-                    )): i
-                    for i in order
-                }
-                for future in as_completed(futures):
-                    try:
-                        outcomes[futures[future]] = future.result()
-                    except transient:
-                        # Salvage: keep every leaf that finished; this
-                        # one re-solves in the serial sweep below.
-                        continue
-        except _POOL_FAILURES:
-            pass  # sandboxes without fork: fall through to serial
-    for i in order:
-        if outcomes[i] is not None:
-            continue  # solved by the pool (or a salvaged remnant of it)
-        remaining = None if deadline is None else deadline - time.perf_counter()
-        if remaining is not None and remaining <= 0:
-            break  # deadline: remaining leaves stay undecided (sound)
-        payload = (kind, layers, leaves[i], extra, config.backend, remaining)
-        try:
-            outcomes[i] = _leaf_worker(payload)
-        except transient:
-            # One inline retry for transient failures (injected chaos
-            # faults, IPC hiccups); a second failure leaves the leaf
-            # undecided, which the driver already treats soundly.
-            try:
-                outcomes[i] = _leaf_worker(payload)
-            except transient:
-                continue
+    payloads = [(kind, layers, leaves[i], extra, config.backend) for i in order]
+    solved = SupervisedMap(
+        _leaf_worker, payloads, pool_size(config.leaf_workers or 1, len(leaves)),
+        RetryPolicy(max_attempts=1), solve_inline, deadline=deadline,
+    ).run()
+    for i, outcome in zip(order, solved):
+        outcomes[i] = outcome
     return outcomes
 
 

@@ -176,7 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--window", type=int, default=1,
                          help="ND window (method=nd)")
     p_batch.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: all cores)")
+                         help="worker processes (default: the CPUs this "
+                         "process may run on)")
     p_batch.add_argument("--backend", default="scipy",
                          help="scipy | python | python:simplex")
     p_batch.add_argument("--bounds", choices=_BOUNDS_CHOICES, default=None,

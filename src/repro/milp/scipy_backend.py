@@ -11,7 +11,7 @@ import scipy.sparse as sparse
 from repro import _faults
 from repro.milp.solution import SolveResult, SolveStatus, finalize_user_sense
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.milp.expr import LinExpr, Var
@@ -40,6 +40,16 @@ def _as_csr(a: object) -> "sparse.csr_matrix":
     if sparse.issparse(a):
         return a.tocsr()
     return sparse.csr_matrix(a)
+
+
+def _highs(solve: Callable[..., Any], options: dict[str, Any], **problem: Any) -> Any:
+    """Call HiGHS; re-check "infeasible" without presolve, which can
+    reject feasible rows pinned near its tolerances (``x = y + 6e-17``).
+    """
+    res = solve(**problem, options=options)
+    if res.status == 2:
+        res = solve(**problem, options={**options, "presolve": False})
+    return res
 
 
 class ScipyBackend:
@@ -163,12 +173,13 @@ class ScipyBackend:
             options["time_limit"] = float(time_limit)
         if mip_gap is not None:
             options["mip_rel_gap"] = float(mip_gap)
-        res = sopt.milp(
+        res = _highs(
+            sopt.milp,
+            options,
             c=c,
             constraints=constraints,
             integrality=integrality,
             bounds=sopt.Bounds(lo, hi),
-            options=options,
         )
         status = _MILP_STATUS.get(res.status, SolveStatus.ERROR)
         if status is SolveStatus.ITERATION_LIMIT and time_limit is not None:
@@ -206,7 +217,9 @@ class ScipyBackend:
         options: dict = {"presolve": True}
         if time_limit is not None:
             options["time_limit"] = float(time_limit)
-        res = sopt.linprog(
+        res = _highs(
+            sopt.linprog,
+            options,
             c=c,
             A_ub=_as_csr(a_ub) if a_ub.shape[0] else None,
             b_ub=b_ub if a_ub.shape[0] else None,
@@ -214,7 +227,6 @@ class ScipyBackend:
             b_eq=b_eq if a_eq.shape[0] else None,
             bounds=bounds,
             method="highs",
-            options=options,
         )
         status = _LINPROG_STATUS.get(res.status, SolveStatus.ERROR)
         # HiGHS reports one "limit reached" code for both wall-clock and

@@ -3,11 +3,18 @@
 Certification workloads decompose into many *independent* solver-bound
 queries — one local certificate per data sample, one global certificate
 per model, four small LP/MILPs per neuron inside Algorithm 1's ND loop.
-This package fans those queries across worker processes:
+This package fans those queries across worker processes, all through
+one supervised executor:
 
+* :class:`~repro.runtime.executor.SupervisedMap` — pool supervision
+  (salvage, uncharged requeue, rebuild, watchdog, inline fallback) for
+  every fan-out, including the split tier's leaves; callers supply only
+  a worker, a :class:`~repro.runtime.retry.RetryPolicy` and a fallback.
+  Default worker counts are the CPUs in the process's affinity mask
+  (:func:`~repro.runtime.executor.available_cpus`).
 * :class:`~repro.runtime.batch.BatchCertifier` — executes a list of
   declarative :class:`~repro.runtime.batch.CertificationQuery` objects
-  on a ``ProcessPoolExecutor`` with deterministic result ordering,
+  with deterministic result ordering,
   progress callbacks and per-query failure capture.
 * :func:`~repro.runtime.batch.parallel_solve_many` — the lower-level
   fan-out used by :class:`~repro.certify.global_cert.GlobalRobustnessCertifier`

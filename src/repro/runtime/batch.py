@@ -10,28 +10,12 @@ cost once and the package has no circular imports.
 
 from __future__ import annotations
 
+import itertools
 import math
-import multiprocessing
-import os
-import signal
 import time
 import traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    as_completed,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-#: Exceptions meaning "the process pool itself is unusable" (cannot
-#: fork/spawn, or a worker died mid-batch) — distinct from a query
-#: failure, which workers capture per query.  The supervisor salvages
-#: every already-completed result and re-dispatches (or runs inline)
-#: only the unfinished queries.
-_POOL_FAILURES = (OSError, PermissionError, BrokenProcessPool)
 
 import numpy as np
 
@@ -39,6 +23,7 @@ from repro import _faults
 from repro.bounds.interval import Box
 from repro.bounds.propagator import LayerBounds
 from repro.nn.affine import AffineLayer
+from repro.runtime.executor import STAT_KEYS, SupervisedMap, available_cpus, pool_size
 from repro.runtime.retry import RetryPolicy
 
 #: Query kinds understood by :func:`_execute_query`.
@@ -52,15 +37,6 @@ DEFAULT_GLOBAL_TIME_LIMIT = 30.0
 
 #: Progress callback signature: ``(completed_count, total, result)``.
 ProgressFn = Callable[[int, int, "BatchResult"], None]
-
-#: Zero state of :attr:`BatchCertifier.fault_stats`.
-_FAULT_STATS_ZERO = {
-    "retries": 0,
-    "degraded": 0,
-    "timeouts": 0,
-    "workers_killed": 0,
-    "pool_rebuilds": 0,
-}
 
 
 @dataclass
@@ -379,37 +355,10 @@ def _execute_query(query: CertificationQuery):
     )
 
 
-#: Start-notification sink installed by :func:`_pool_init` in supervised
-#: worker processes: ``(query index, worker pid)`` markers let the
-#: parent's watchdog know *which* worker owns a query and since when.
-#: ``None`` outside supervised pools (serial runs, plain pools).
-_START_SINK = None
-
-
-def _pool_init(sink, plan) -> None:
-    """Worker initializer for supervised pools.
-
-    Wires the start-marker sink and installs a *fresh* copy of the
-    parent's fault plan, so every worker replays its own deterministic
-    fault schedule from hit 1 regardless of the multiprocessing start
-    method (fork would otherwise inherit the parent's hit counters).
-    """
-    global _START_SINK
-    _START_SINK = sink
-    if plan is not None:
-        _faults.install(plan.fresh())
-
-
 def _run_one(payload: tuple[int, CertificationQuery]) -> BatchResult:
     """Worker entry point: never raises, captures failures per query."""
     index, query = payload
     t0 = time.perf_counter()
-    sink = _START_SINK
-    if sink is not None:
-        # Before any work (and any fault point): a crash after this
-        # marker is attributable to this query, and the watchdog clock
-        # for it starts at parent receipt time.
-        sink.put((index, os.getpid()))
     try:
         if _faults.ENABLED:
             _faults.fault_point("batch.worker")
@@ -489,15 +438,16 @@ def _degraded_certificate(query: CertificationQuery, bounds: str):
 
 
 def _degraded_result(
-    index: int, query: CertificationQuery, reason: str, attempts: int
+    payload: tuple[int, CertificationQuery], reason: str, attempts: int
 ) -> BatchResult:
-    """Resolve an abandoned query to a sound ``degraded`` answer.
+    """Resolve an abandoned ``(index, query)`` to a sound ``degraded`` answer.
 
     Tries the symbolic propagator first (tight), plain IBP second
     (simpler, nearly unbreakable).  Only if *both* bound engines fail —
     which means the query itself is broken, not the compute — does the
     query surface as an ordinary error result.
     """
+    index, query = payload
     t0 = time.perf_counter()
     error = None
     for bounds in ("symbolic", "ibp"):
@@ -543,10 +493,11 @@ class BatchCertifier:
         eps = [r.certificate.epsilon for r in results if r.ok]
 
     Args:
-        max_workers: Process count; defaults to ``os.cpu_count()``
-            (capped by the batch size).  ``1`` executes inline — same
-            semantics, no processes — which is also the automatic
-            fallback when the platform cannot fork worker processes.
+        max_workers: Process count, honoured as given and capped by
+            the batch size; defaults to the CPUs in this process's
+            affinity mask.  ``1`` executes inline — same semantics, no
+            processes — which is also the automatic fallback when no
+            worker pool can be built.
         bulk_presolve: Screen the whole submission with one batched
             presolve pass per query group *before* any worker dispatch
             (default on).  Queries the pass decides never reach the
@@ -612,8 +563,7 @@ class BatchCertifier:
         self.presolve_stats: dict[str, int] = {
             "groups": 0, "queries": 0, "answered": 0,
         }
-        self.fault_stats: dict[str, int] = dict(_FAULT_STATS_ZERO)
-        self._retry_budget = 0
+        self.fault_stats: dict[str, int] = dict.fromkeys(STAT_KEYS, 0)
 
     def _attach_shared_bounds(self, queries: list[CertificationQuery]) -> None:
         """Compute one LayerBounds per repeated (network, input-box) pair.
@@ -752,9 +702,7 @@ class BatchCertifier:
         """
         queries = list(queries)
         total = len(queries)
-        self.fault_stats = dict(_FAULT_STATS_ZERO)
-        if total == 0:
-            return []
+        self.fault_stats = dict.fromkeys(STAT_KEYS, 0)
         results: list[BatchResult | None] = [None] * total
         done = 0
         for index, result in sorted(self._bulk_presolve(queries).items()):
@@ -764,337 +712,46 @@ class BatchCertifier:
                 progress(done, total, result)
         pending = [(i, q) for i, q in enumerate(queries) if results[i] is None]
         self._attach_shared_bounds([q for _, q in pending])
-        if not pending:
-            return [r for r in results if r is not None]
-        workers = self.max_workers or os.cpu_count() or 1
-        workers = min(workers, len(pending))
-        self._retry_budget = self.retry.batch_budget(len(pending))
-        if workers == 1:
-            if (
-                len(pending) == 1
-                and pending[0][1].split
-                and pending[0][1].split_workers is None
-            ):
-                # A batch of one split query runs inline; hand the
-                # engine's process budget to its leaf MILPs instead so
-                # the pool still does the parallel work.
-                pending[0][1].split_workers = (
-                    self.max_workers or os.cpu_count() or 1
-                )
-            dispatched = self._run_serial(pending, total, done, progress)
-        else:
-            supervisor = _PoolSupervisor(self, workers, total, done, progress)
-            dispatched = supervisor.run(pending)
-        for result in dispatched:
+        workers = pool_size(self.max_workers, len(pending))
+        if (
+            workers is None
+            and len(pending) == 1
+            and pending[0][1].split
+            and pending[0][1].split_workers is None
+        ):
+            # A batch of one split query runs inline; hand the engine's
+            # process budget to its leaf MILPs instead so the pool still
+            # does the parallel work.
+            pending[0][1].split_workers = self.max_workers or available_cpus()
+        for result in self._dispatch(pending, workers, progress, total, done):
             results[result.index] = result
         return [r for r in results if r is not None]  # every slot filled
 
-    def _run_serial(self, pending, total, done, progress) -> list[BatchResult]:
-        """Inline execution with the same retry/degradation semantics."""
-        results = []
-        for index, query in pending:
-            result = self._attempt_serial(index, query)
-            results.append(result)
-            done += 1
+    def _dispatch(
+        self,
+        pending: list[tuple[int, CertificationQuery]],
+        workers: int | None,
+        progress: ProgressFn | None = None,
+        total: int = 0,
+        done: int = 0,
+    ) -> list[BatchResult]:
+        """Run ``(index, query)`` pairs on ``workers`` processes (``None``
+        = inline), stamping ``detail["attempts"]`` before ``progress``."""
+        completed = itertools.count(done + 1)
+
+        def finish(result: BatchResult, attempts: int) -> None:
+            detail = dict(result.detail or {})
+            detail.setdefault("attempts", attempts)
+            result.detail = detail
             if progress is not None:
-                progress(done, total, result)
-        return results
+                progress(next(completed), total, result)
 
-    def _attempt_serial(
-        self, index: int, query: CertificationQuery, prior_attempts: int = 0
-    ) -> BatchResult:
-        """Run one query inline under the retry policy until resolved.
-
-        Transient failures retry with backoff while attempts and the
-        batch budget last, then degrade; permanent failures surface
-        immediately as error results.  ``prior_attempts`` carries over
-        attempts a pool already charged before falling back inline.
-        """
-        attempt = prior_attempts
-        while True:
-            attempt += 1
-            result = _run_one((index, query))
-            if result.error is None:
-                break
-            error_type = str((result.detail or {}).get("error_type", ""))
-            if self.retry.classify_name(error_type) != "transient":
-                break
-            if attempt >= self.retry.max_attempts or self._retry_budget <= 0:
-                self.fault_stats["degraded"] += 1
-                result = _degraded_result(index, query, error_type, attempt)
-                break
-            self._retry_budget -= 1
-            self.fault_stats["retries"] += 1
-            time.sleep(self.retry.delay(attempt, index))
-        detail = dict(result.detail or {})
-        detail.setdefault("attempts", attempt)
-        result.detail = detail
-        return result
-
-
-class _PoolSupervisor:
-    """One :meth:`BatchCertifier.run`'s process-pool lifecycle.
-
-    The naive ``submit-all / as_completed`` loop it replaces had two
-    production-fatal behaviors: a single worker death broke the pool
-    and *discarded every completed result* (the whole batch re-ran
-    serially), and a wedged native solve stalled the batch forever
-    because ``time_limit`` is cooperative.  The supervisor instead:
-
-    * salvages every completed future when the pool breaks, rebuilds
-      the pool (up to ``RetryPolicy.max_pool_rebuilds`` times) and
-      re-dispatches only the unfinished queries;
-    * retries transient per-query failures under the engine's
-      :class:`~repro.runtime.retry.RetryPolicy` with deterministic
-      backoff and the shared batch budget;
-    * enforces ``query_timeout`` as a *hard* wall-clock limit: workers
-      report ``(query, pid)`` start markers through a
-      ``multiprocessing.SimpleQueue``, and a watchdog SIGKILLs any
-      worker whose query is overdue (the broken pool is then rebuilt
-      and the timed-out query degrades);
-    * when the pool cannot be (re)built at all, finishes the remaining
-      queries inline — completed pool results are still kept.
-
-    Queries resolve exactly once each (progress fires exactly once per
-    query, monotonically), to a successful result, a permanent error
-    result, or a sound degraded answer.
-    """
-
-    #: Event-loop tick: bounds watchdog latency and backoff sleep.
-    _POLL_SECONDS = 0.05
-
-    def __init__(self, engine, workers, total, done, progress) -> None:
-        self.engine = engine
-        self.policy: RetryPolicy = engine.retry
-        self.workers = workers
-        self.query_timeout = engine.query_timeout
-        self.stats = engine.fault_stats
-        self.total = total
-        self.completed = done
-        self.progress = progress
-        self.pool = None
-        self.sink = None
-        self.broken = False
-        self.rebuilds = 0
-        self.queries: dict[int, CertificationQuery] = {}
-        self.attempts: dict[int, int] = {}
-        self.waiting: dict[int, float] = {}  # index -> earliest dispatch stamp
-        self.futures: dict = {}              # Future -> index
-        self.running: dict[int, tuple[int, float]] = {}  # index -> (pid, since)
-        self.timed_out: set[int] = set()
-        self.finals: dict[int, BatchResult] = {}
-
-    def run(self, pending) -> list[BatchResult]:
-        """Resolve every pending query; results sorted by index."""
-        self.queries = dict(pending)
-        self.attempts = {i: 0 for i in self.queries}
-        self.waiting = {i: 0.0 for i in self.queries}
-        try:
-            while len(self.finals) < len(self.queries):
-                if not self._step():
-                    self._serial_fallback()
-                    break
-        finally:
-            self._teardown_pool()
-        return [self.finals[i] for i in sorted(self.finals)]
-
-    def _step(self) -> bool:
-        """One event-loop tick; False when no pool can be (re)built."""
-        now = time.perf_counter()
-        ready = sorted(i for i, stamp in self.waiting.items() if stamp <= now)
-        if ready and not self.broken:
-            if not self._ensure_pool():
-                return False
-            for index in ready:
-                if self.broken:
-                    break  # pool died at submit; rebuild next tick
-                self._dispatch(index)
-        self._wait_events()
-        self._drain_starts()
-        self._collect_done()
-        self._watchdog()
-        if self.broken and not self.futures:
-            # Every in-flight future has resolved against the broken
-            # pool (salvaged or requeued); safe to replace it now.
-            self._teardown_pool()
-        return True
-
-    def _ensure_pool(self) -> bool:
-        if self.pool is not None:
-            return True
-        if self.rebuilds > self.policy.max_pool_rebuilds:
-            return False
-        try:
-            self.sink = multiprocessing.SimpleQueue()
-            self.pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_pool_init,
-                initargs=(self.sink, _faults.active_plan()),
-            )
-        except _POOL_FAILURES:
-            # Sandboxes without fork support and similar: stay correct,
-            # run inline (the caller falls back via _serial_fallback).
-            self.pool = None
-            return False
-        return True
-
-    def _dispatch(self, index: int) -> None:
-        query = self.queries[index]
-        self.attempts[index] += 1
-        del self.waiting[index]
-        try:
-            if _faults.ENABLED:
-                _faults.fault_point("batch.dispatch")
-            future = self.pool.submit(_run_one, (index, query))
-        except _faults.InjectedFault as exc:
-            self._transient(index, str(exc))
-        except _POOL_FAILURES:
-            # The pool was already unusable; the query never ran, so
-            # requeue it uncharged.
-            self.broken = True
-            self.attempts[index] -= 1
-            self.waiting[index] = 0.0
-        else:
-            self.futures[future] = index
-
-    def _wait_events(self) -> None:
-        if self.futures:
-            wait(
-                list(self.futures),
-                timeout=self._POLL_SECONDS,
-                return_when=FIRST_COMPLETED,
-            )
-        elif self.waiting and not self.broken:
-            # Nothing in flight: sleep toward the earliest backoff wake.
-            pause = min(self.waiting.values()) - time.perf_counter()
-            if pause > 0:
-                time.sleep(min(pause, self._POLL_SECONDS))
-
-    def _drain_starts(self) -> None:
-        sink = self.sink
-        if sink is None:
-            return
-        inflight = set(self.futures.values())
-        try:
-            while not sink.empty():
-                index, pid = sink.get()
-                if index in inflight:
-                    # Stamped with parent receipt time: one clock for
-                    # the watchdog, no cross-process skew.
-                    self.running[index] = (pid, time.perf_counter())
-        except (OSError, EOFError):
-            pass  # sink pipe died with its pool; markers just go stale
-
-    def _collect_done(self) -> None:
-        for future in [f for f in self.futures if f.done()]:
-            index = self.futures.pop(future)
-            started = self.running.pop(index, None)
-            was_timed_out = index in self.timed_out
-            self.timed_out.discard(index)
-            try:
-                result = future.result()
-            except _faults.InjectedFault as exc:
-                self._transient(index, str(exc))
-                continue
-            except _POOL_FAILURES:
-                self.broken = True
-                if was_timed_out:
-                    self._timeout(index)
-                elif started is None:
-                    # Never reached a worker — an innocent victim of
-                    # whatever broke the pool.  Requeue uncharged.
-                    self.attempts[index] -= 1
-                    self.waiting[index] = 0.0
-                else:
-                    self._transient(index, "worker process died mid-query")
-                continue
-            if result.error is None:
-                self._finalize(self._stamped(result, index))
-                continue
-            error_type = str((result.detail or {}).get("error_type", ""))
-            if self.policy.classify_name(error_type) == "transient":
-                self._transient(index, error_type)
-            else:
-                self._finalize(self._stamped(result, index))
-
-    def _watchdog(self) -> None:
-        if self.query_timeout is None:
-            return
-        now = time.perf_counter()
-        for index, (pid, since) in self.running.items():
-            if index in self.timed_out or now - since <= self.query_timeout:
-                continue
-            # SIGKILL is deliberate: a wedged native solve ignores
-            # cooperative signals.  The kill breaks the pool; the
-            # normal salvage/rebuild path cleans up after it.
-            self.timed_out.add(index)
-            self.stats["workers_killed"] += 1
-            self.broken = True
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):
-                pass  # worker already gone; the broken pool surfaces it
-
-    def _transient(self, index: int, reason: str) -> None:
-        """Retry a transiently failed query, or degrade it soundly."""
-        attempt = self.attempts[index]
-        if attempt < self.policy.max_attempts and self.engine._retry_budget > 0:
-            self.engine._retry_budget -= 1
-            self.stats["retries"] += 1
-            self.waiting[index] = (
-                time.perf_counter() + self.policy.delay(attempt, index)
-            )
-            return
-        self.stats["degraded"] += 1
-        self._finalize(
-            _degraded_result(index, self.queries[index], reason, attempt)
-        )
-
-    def _timeout(self, index: int) -> None:
-        """Resolve a query whose worker the watchdog had to kill."""
-        self.stats["timeouts"] += 1
-        if self.policy.retry_timeouts:
-            self._transient(index, "hard query timeout")
-            return
-        self.stats["degraded"] += 1
-        self._finalize(_degraded_result(
-            index, self.queries[index],
-            f"hard timeout: no result within {self.query_timeout:.6g}s",
-            self.attempts[index],
-        ))
-
-    def _serial_fallback(self) -> None:
-        """Finish everything undispatched inline; keep pool results."""
-        for index in sorted(self.waiting):
-            del self.waiting[index]
-            self._finalize(self.engine._attempt_serial(
-                index, self.queries[index], self.attempts[index]
-            ))
-
-    def _finalize(self, result: BatchResult) -> None:
-        self.finals[result.index] = result
-        self.completed += 1
-        if self.progress is not None:
-            self.progress(self.completed, self.total, result)
-
-    def _stamped(self, result: BatchResult, index: int) -> BatchResult:
-        detail = dict(result.detail or {})
-        detail["attempts"] = self.attempts[index]
-        result.detail = detail
-        return result
-
-    def _teardown_pool(self) -> None:
-        pool, self.pool = self.pool, None
-        sink, self.sink = self.sink, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-        if sink is not None:
-            sink.close()
-        self.running.clear()
-        if self.broken:
-            self.broken = False
-            self.rebuilds += 1
-            self.stats["pool_rebuilds"] += 1
+        return SupervisedMap(
+            _run_one, pending, workers, self.retry, _degraded_result,
+            failure=lambda r: None if r.ok else str(r.detail.get("error_type")),
+            timeout=self.query_timeout,
+            stats=self.fault_stats, on_result=finish,
+        ).run()
 
 
 # -- query builders ----------------------------------------------------------
@@ -1240,6 +897,12 @@ def _solve_chunk(payload):
     return model.solve_many(objectives, backend=backend, time_limit=time_limit)
 
 
+def _resolve_chunk(payload, reason: str, attempts: int):
+    """Fallback: re-solve a failed chunk in the calling process."""
+    model, objectives, backend, time_limit = payload
+    return model.solve_many(objectives, backend=backend, time_limit=time_limit)
+
+
 def parallel_solve_many(
     model,
     objectives,
@@ -1255,44 +918,34 @@ def parallel_solve_many(
     per-objective cost stays identical to the serial path.  This is the
     engine behind ``CertifierConfig.workers`` — Algorithm 1's four
     min/max LPs per neuron of a layer are independent and fan perfectly.
+    Chunks run on the package's one
+    :class:`~repro.runtime.executor.SupervisedMap`: a chunk that fails
+    transiently is re-solved in the calling process.
 
     Args:
         model: The shared :class:`~repro.milp.model.Model`.
         objectives: Pairs ``(expression, "min"|"max")``.
         backend: Backend name.
         time_limit: Per-solve time limit in seconds.
-        max_workers: Process count; ``None`` uses ``os.cpu_count()``.
+        max_workers: Process count, honoured as given (capped by the
+            objective count); ``None`` uses
+            :func:`~repro.runtime.executor.available_cpus`.
 
     Returns:
         One :class:`~repro.milp.solution.SolveResult` per objective, in
         input order — bit-identical to the serial ``solve_many``.
     """
     objectives = list(objectives)
-    workers = max_workers or os.cpu_count() or 1
-    workers = min(workers, len(objectives))
-    if workers <= 1 or len(objectives) <= 1:
+    workers = pool_size(max_workers, len(objectives))
+    if workers is None:
         return model.solve_many(objectives, backend=backend, time_limit=time_limit)
     chunk = math.ceil(len(objectives) / workers)
-    chunks = [objectives[k : k + chunk] for k in range(0, len(objectives), chunk)]
-    parts: list[list | None] = [None] * len(chunks)
-    try:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = {
-                pool.submit(_solve_chunk, (model, part, backend, time_limit)): k
-                for k, part in enumerate(chunks)
-            }
-            for future in as_completed(futures):
-                try:
-                    parts[futures[future]] = future.result()
-                except _POOL_FAILURES + (_faults.InjectedFault,):
-                    # Salvage: keep every chunk that finished; only
-                    # this one re-solves inline below.
-                    continue
-    except _POOL_FAILURES:
-        pass  # pool never came up; unfinished chunks re-solve inline
-    for k, part in enumerate(parts):
-        if part is None:
-            parts[k] = model.solve_many(
-                chunks[k], backend=backend, time_limit=time_limit
-            )
+    payloads = [
+        (model, objectives[k : k + chunk], backend, time_limit)
+        for k in range(0, len(objectives), chunk)
+    ]
+    parts = SupervisedMap(
+        _solve_chunk, payloads, len(payloads), RetryPolicy(max_attempts=1),
+        _resolve_chunk,
+    ).run()
     return [result for part in parts for result in part]

@@ -21,7 +21,7 @@ Fault-point catalog (all per-process, all zero-cost when disabled):
 ========================  ===================================================
 point                     hook site
 ========================  ===================================================
-``batch.dispatch``        ``BatchCertifier`` supervisor, before each submit
+``batch.dispatch``        ``runtime.executor`` pool, before each submit
 ``batch.worker``          ``runtime.batch._run_one``, per query attempt
 ``solve.chunk``           ``runtime.batch._solve_chunk`` objective chunks
 ``session.solve``         ``milp.session.SolverSession.solve``

@@ -1,5 +1,7 @@
 """Input-splitting tier: verdict agreement, tiling invariant, deadlines."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -332,3 +334,37 @@ class TestParallelLeaves:
         )
         assert serial.verdict == parallel.verdict == "certified"
         assert np.allclose(serial.epsilons, parallel.epsilons)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_leaves_share_the_deadline(self, workers, monkeypatch):
+        """Each leaf's budget is measured when it is dispatched.
+
+        Six leaves under a 1 s deadline, with a leaf solver that spends
+        its whole budget: the first leaf on each worker uses the
+        deadline up, and the leaves not dispatched before it stay
+        undecided (``None``).  Runs fault-free: an ambient chaos
+        schedule would spend part of the deadline on retries.
+        """
+        from repro import _faults
+        from repro.certify import splitting
+
+        def spend_budget(layers, leaf, base, backend, time_limit):
+            time.sleep(time_limit)
+            return time_limit
+
+        monkeypatch.setattr(splitting, "_solve_local_leaf", spend_budget)
+        monkeypatch.setattr(_faults, "_PLAN", None)
+        monkeypatch.setattr(_faults, "ENABLED", False)
+        box = Box.uniform(1, 0.0, 1.0)
+        leaves = [
+            splitting._Leaf(box, None, np.array([float(k)]), 1) for k in range(6)
+        ]
+        t0 = time.perf_counter()
+        outcomes = splitting._solve_leaves(
+            "local", [], leaves, None, SplitConfig(leaf_workers=workers), t0 + 1.0
+        )
+        elapsed = time.perf_counter() - t0
+        budgets = [o for o in outcomes if o is not None]
+        assert len(budgets) == workers
+        assert all(b <= 1.0 for b in budgets)
+        assert elapsed < 2.0

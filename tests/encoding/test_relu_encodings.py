@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.encoding import (
@@ -101,6 +101,8 @@ class TestTriangle:
 
 class TestDistanceRelaxation:
     @given(st.floats(-2, 0), st.floats(0, 2), st.floats(-5, 5), st.floats(-2, 2))
+    # HiGHS presolve rejected this feasible LP (Δx pinned 6e-17 above Δy).
+    @example(dy_lo=0.0, dy_hi=1.0, y=1.0, dy=1e-07)
     @settings(max_examples=150, deadline=None)
     def test_contains_true_distance(self, dy_lo, dy_hi, y, dy):
         """Each feasible (Δy, Δx=relu(y+Δy)−relu(y)) satisfies Eq. 6."""

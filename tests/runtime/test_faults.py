@@ -15,7 +15,6 @@ import pytest
 from repro import _faults
 from repro.bounds import Box
 from repro.nn.affine import AffineLayer
-from repro.runtime import batch as batch_mod
 from repro.runtime import faults
 from repro.runtime.batch import (
     BatchCertifier,
@@ -303,13 +302,9 @@ class TestPoolSupervisor:
             max_workers=2,
             retry=RetryPolicy(base_delay=0.001, max_pool_rebuilds=0),
         )
-        engine._retry_budget = engine.retry.batch_budget(len(queries))
         plan = faults.FaultPlan.parse("batch.worker:crash@3")
         with faults.injected(plan):
-            supervisor = batch_mod._PoolSupervisor(
-                engine, 1, len(queries), 0, None
-            )
-            results = supervisor.run(list(enumerate(queries)))
+            results = engine._dispatch(list(enumerate(queries)), workers=1)
         assert [r.index for r in results] == list(range(len(queries)))
         assert all(r.ok and not r.degraded for r in results)
         assert plan.hits("batch.worker") == 5  # N-K=4 re-runs + 1 retry
@@ -431,6 +426,73 @@ class TestFanoutSalvage:
         assert plan.hits("split.leaf") >= 2
         assert chaotic.verdict == fault_free.verdict == "certified"
         assert np.allclose(chaotic.epsilons, fault_free.epsilons)
+
+
+def _batch_fanout(layers, workers):
+    queries = local_queries(
+        layers, np.random.default_rng(1).random((4, 3)), 0.05, method="lpr"
+    )
+    results = BatchCertifier(max_workers=workers).run(queries)
+    assert all(r.ok and not r.degraded for r in results)
+    return [r.certificate.epsilons for r in results]
+
+
+def _chunk_fanout(layers, workers):
+    enc, objectives = TestFanoutSalvage._encoded(layers)
+    results = parallel_solve_many(
+        enc.model, objectives, backend="scipy", max_workers=workers
+    )
+    return [np.array([r.objective]) for r in results]
+
+
+def _leaf_fanout(layers, workers):
+    from repro.certify import SplitConfig, certify_local_split
+
+    rng = np.random.default_rng(11)
+    dims = [3, 5, 5, 2]
+    chain = [
+        AffineLayer(
+            1.5 * rng.standard_normal((dims[i + 1], dims[i])) / np.sqrt(dims[i]),
+            0.2 * rng.standard_normal(dims[i + 1]),
+            relu=i < 2,
+        )
+        for i in range(3)
+    ]
+    # ε = 0.182 lies between the exact value (0.1762) and the root
+    # bound (0.1882): two MILP leaves at depth 1, as in
+    # test_split_leaf_salvage_matches_fault_free.
+    cert = certify_local_split(
+        chain, np.array([0.4, 0.6, 0.5]), 0.1, 0.182,
+        domain=Box.uniform(3, 0.0, 1.0),
+        config=SplitConfig(max_depth=1, seed=7, leaf_workers=workers),
+    )
+    assert cert.detail["milp_leaves"] == 2
+    return [cert.epsilons]
+
+
+class TestNoPool:
+    """Every fan-out finishes inline when no worker pool can be built."""
+
+    @pytest.mark.parametrize(
+        "fanout", [_batch_fanout, _chunk_fanout, _leaf_fanout],
+        ids=["batch", "chunks", "leaves"],
+    )
+    def test_matches_serial_without_raising(self, layers, fanout, monkeypatch):
+        from repro.runtime import executor
+
+        serial = fanout(layers, 1)
+        refused = []
+
+        def no_pool(*args, **kwargs):
+            refused.append(kwargs["max_workers"])
+            raise OSError("cannot fork worker processes")
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", no_pool)
+        inline = fanout(layers, 2)
+        assert refused == [2]  # the pool branch ran, and gave up once
+        assert len(inline) == len(serial)
+        for got, want in zip(inline, serial):
+            assert np.array_equal(got, want)
 
 
 # -- the acceptance chaos property --------------------------------------------
