@@ -9,7 +9,7 @@ measurements:
   same loop without it; reported as nanoseconds per hook and as a
   bound on the per-query overhead percentage (the acceptance target is
   < 1 %);
-* **raise-recovery scenario** — a presolve+LPR query mix run clean and
+* **raise-recovery scenario** — a split-tier ε-query mix run clean and
   under a deterministic one-raise-per-worker schedule whose retries
   are guaranteed to succeed; every verdict and every ε must be
   bit-identical to the clean run (gated), recovery throughput is
@@ -103,11 +103,13 @@ def hook_overhead(iterations: int) -> dict:
 
 
 def _mixed_queries(layers, domain, delta, n_centers, n_eps, seed=0):
-    """A centers × ε grid whose presolve verdicts mix all three classes.
+    """A centers × ε grid whose verdicts mix certified and refuted.
 
-    ``presolve`` stays on per query but the engine's bulk prefilter is
-    disabled by the caller, so the tier runs *inside* the workers —
-    where the chaos schedules fire.
+    The engine's presolve screen runs in the submitting process, out of
+    reach of the chaos schedules, so these queries skip it
+    (``presolve=False``) and go to the split tier instead: its root step
+    proves by bounds and refutes by attack just like presolve, but
+    *inside* the workers — where the chaos schedules fire.
     """
     rng = np.random.default_rng(seed)
     centers = domain.sample(rng, n_centers)
@@ -119,8 +121,9 @@ def _mixed_queries(layers, domain, delta, n_centers, n_eps, seed=0):
     for eps in np.geomspace(scale * 1e-3, scale * 4.0, n_eps):
         queries.extend(
             local_queries(
-                layers, centers, delta, method="lpr", domain=domain,
-                epsilon=float(eps), tag_prefix=f"eps{eps:.3g}",
+                layers, centers, delta, method="exact", domain=domain,
+                epsilon=float(eps), split=True, presolve=False,
+                tag_prefix=f"eps{eps:.3g}",
             )
         )
     return queries
@@ -144,7 +147,6 @@ def recovery_scenario(layers, domain, delta, n_centers, n_eps, workers) -> dict:
     def engine():
         return BatchCertifier(
             max_workers=workers,
-            bulk_presolve=False,
             retry=RetryPolicy(max_attempts=workers + 1, base_delay=0.001),
         )
 
@@ -299,7 +301,8 @@ def _check(results: dict, smoke: bool) -> list[str]:
     if min(recovery["verdicts_certified"], recovery["verdicts_refuted"]) == 0:
         failures.append(
             "recovery ε ladder missed a verdict class — the scenario no "
-            "longer exercises both presolve sides under chaos"
+            "longer exercises both the proving and refuting sides under "
+            "chaos"
         )
     crash = results["crash"]
     if not crash["all_resolved"]:

@@ -98,6 +98,13 @@ class InjectedFault(RuntimeError):
         self.point = point
         self.hit = hit
 
+    def __reduce__(self) -> tuple[type[InjectedFault], tuple[str, int]]:
+        # Rebuild from the constructor's arguments: the default
+        # exception pickling replays ``self.args`` (the message alone),
+        # so a fault raised in a pool worker could not be unpickled in
+        # the parent and broke the whole pool.
+        return type(self), (self.point, self.hit)
+
 
 @dataclass(frozen=True)
 class FaultSpec:

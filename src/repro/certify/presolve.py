@@ -16,9 +16,8 @@ often be answered from bound propagation alone:
   presolve, since presolve never touches the encoding).
 
 The batch engine (:mod:`repro.runtime.batch`) runs this tier first for
-every query carrying an ``epsilon`` target, sharing one
-:class:`~repro.bounds.propagator.LayerBounds` per (network, input-box)
-pair across the batch.
+every query carrying an ``epsilon`` target, one :func:`presolve_many`
+call per group of queries sharing a network and domain.
 
 **Batched presolve.**  :func:`presolve_local_many`,
 :func:`presolve_global_many` and the :func:`presolve_many` dispatcher
@@ -227,8 +226,8 @@ def presolve_local(
         epsilon: Target variation bound to prove or refute.
         domain: Optional domain box intersected with the δ-ball.
         bounds: Propagator used for the proving side (default symbolic).
-        layer_bounds: Pre-computed :class:`LayerBounds` over the δ-ball
-            (the batch engine's shared cache); computed here if omitted.
+        layer_bounds: Pre-computed :class:`LayerBounds` over the δ-ball;
+            computed here if omitted.
         attack_samples: Extra random starts for the refuting attack.
         seed: RNG seed for the random starts.
 
@@ -406,7 +405,7 @@ def presolve_local_many(
         domain: Optional domain box intersected with every δ-ball.
         bounds: Propagator for the proving side (default symbolic).
         layer_bounds: Pre-computed :class:`BatchedLayerBounds` over the
-            δ-ball stack (the batch engine's cache); computed if omitted.
+            δ-ball stack; computed if omitted.
         attack_samples: Extra random starts per query (scalar default).
         seed: RNG seed for the shared random starts.
     """

@@ -186,16 +186,13 @@ def _build_parser() -> argparse.ArgumentParser:
                          "--split)")
     p_batch.add_argument("--epsilon", type=_positive_epsilon, default=None,
                          help="target variation bound; enables the "
-                         "bounds-only presolve tier (queries decided by "
-                         "symbolic bounds / the attack gap skip the MILP)")
+                         "bounds-only presolve tier, one batched pass "
+                         "over all samples before any worker starts "
+                         "(queries decided by symbolic bounds / the "
+                         "attack gap skip the MILP)")
     p_batch.add_argument("--no-presolve", action="store_true",
                          help="force the MILP tier even when --epsilon "
                          "is given")
-    p_batch.add_argument("--no-bulk-presolve", action="store_true",
-                         help="disable the batched presolve prefilter "
-                         "(queries fall back to per-query presolve in "
-                         "the workers; identical certificates, no bulk "
-                         "screening)")
     _add_split_args(p_batch)
     p_batch.add_argument("--time-limit", type=_positive_seconds, default=None,
                          help="per-query time limit in seconds (for --split "
@@ -393,7 +390,6 @@ def _cmd_batch(args) -> int:
         return 2
     engine = BatchCertifier(
         max_workers=args.workers,
-        bulk_presolve=not args.no_bulk_presolve,
         retry=(
             None if args.max_retries is None
             else RetryPolicy(max_attempts=args.max_retries)
@@ -439,7 +435,7 @@ def _cmd_batch(args) -> int:
                   "without a MILP")
             stats = engine.presolve_stats
             if stats["queries"]:
-                print(f"bulk presolve screened {stats['queries']} queries in "
+                print(f"presolve screened {stats['queries']} queries in "
                       f"{stats['groups']} batched pass(es), answering "
                       f"{stats['answered']} before dispatch")
         if args.split:

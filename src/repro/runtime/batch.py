@@ -21,7 +21,6 @@ import numpy as np
 
 from repro import _faults
 from repro.bounds.interval import Box
-from repro.bounds.propagator import LayerBounds
 from repro.nn.affine import AffineLayer
 from repro.runtime.executor import STAT_KEYS, SupervisedMap, available_cpus, pool_size
 from repro.runtime.retry import RetryPolicy
@@ -66,13 +65,14 @@ class CertificationQuery:
             Local kinds follow the split convention too: ``None`` stays
             unlimited (exact-verdict parity), a set limit caps each
             objective solve.
-        epsilon: Optional target variation bound.  When set, the
-            presolve tier runs first: if symbolic bounds prove (or the
-            attack gap refutes) ``ε ≤ epsilon``, the query is answered
-            with a ``method="presolve"`` certificate and no MILP is
-            built.  Undecided queries fall through to the usual solver
-            path, whose certificates are bit-identical to a run without
-            presolve.
+        epsilon: Optional target variation bound.  When set,
+            :class:`BatchCertifier` screens the query with the presolve
+            tier in the submitting process first: if symbolic bounds
+            prove (or the attack gap refutes) ``ε ≤ epsilon``, the query
+            is answered with a ``method="presolve"`` certificate and no
+            MILP is built.  Undecided queries go to a worker for the
+            usual solver tier, whose certificates are bit-identical to
+            a run without presolve.
         bounds: Bound propagator seeding the MILP tier's big-M ranges.
             ``None`` (default) resolves per tier — ``"ibp"`` for the
             monolithic MILP (keeps historic results bit-identical),
@@ -101,10 +101,6 @@ class CertificationQuery:
             warm :class:`~repro.milp.session.SolverSession` over the
             root encoding (serial; overrides ``split_workers``).  Same
             verdicts, fewer simplex pivots per leaf.
-        shared_bounds: Engine-managed cache slot: a pre-computed
-            :class:`~repro.bounds.propagator.LayerBounds` for this
-            query's input box, shared across the batch by
-            :class:`BatchCertifier`.  Callers normally leave it unset.
         tag: Caller label echoed on the result (e.g. a sample id).
     """
 
@@ -125,7 +121,6 @@ class CertificationQuery:
     split_depth: int | None = None
     split_workers: int | None = None
     warm_start: bool = False
-    shared_bounds: LayerBounds | None = None
     tag: str = ""
 
     def __post_init__(self) -> None:
@@ -217,8 +212,10 @@ class BatchResult:
             retrying execution paths add ``attempts`` (total attempts
             made); a degraded answer adds ``degraded=True`` and the
             ``reason`` the compute was abandoned.  ``None`` for results
-            answered without the retry engine (e.g. bulk presolve).
-        elapsed: Wall-clock seconds spent inside the worker.
+            answered by the presolve screen, which runs before any
+            dispatch.
+        elapsed: Wall-clock seconds spent inside the worker; a
+            presolve answer carries its share of the group call.
     """
 
     index: int
@@ -245,19 +242,46 @@ class BatchResult:
         return bool(self.detail and self.detail.get("degraded"))
 
 
-def _try_presolve(query: CertificationQuery):
-    """Run the bounds-only tier; a certificate, or None to fall through."""
-    from repro.certify.presolve import presolve_global, presolve_local
+def _presolve_group(group: list[CertificationQuery]) -> list:
+    """One batched presolve call over queries sharing family, network
+    and domain; entry ``q`` is a certificate, or ``None`` if undecided."""
+    from repro.certify.presolve import presolve_many
 
-    if query.kind.startswith("local"):
-        return presolve_local(
-            query.layers, query.center, query.delta, query.epsilon,
-            domain=query.domain, layer_bounds=query.shared_bounds,
+    first = group[0]
+    deltas = np.array([q.delta for q in group], dtype=float)
+    epsilons = np.array([q.epsilon for q in group], dtype=float)
+    if first.kind.startswith("local"):
+        return presolve_many(
+            first.layers, "local",
+            centers=np.stack([q.center for q in group]),
+            domain=first.domain, deltas=deltas, epsilons=epsilons,
         )
-    return presolve_global(
-        query.layers, query.domain, query.delta, query.epsilon,
-        layer_bounds=query.shared_bounds,
+    return presolve_many(
+        first.layers, "global",
+        domain=first.domain, deltas=deltas, epsilons=epsilons,
     )
+
+
+def _screen(
+    queries: list[CertificationQuery], members: list[int]
+) -> list[tuple[int, object, float]]:
+    """``(index, certificate or None, seconds)`` per screened member.
+
+    If the group's call raises, each member is screened again on its
+    own; a member whose own call raises too is left out, so it reaches
+    a worker unpresolved and the worker's error capture reports its
+    real fault.
+    """
+    t0 = time.perf_counter()
+    try:
+        certs = _presolve_group([queries[i] for i in members])
+    # repro-lint: ignore[RPR005] — a failing presolve call must not sink the submission: the group is split into one-query calls, and a query that still fails is dispatched unpresolved so its worker's error capture surfaces the fault verbatim
+    except Exception:
+        if len(members) == 1:
+            return []
+        return [hit for i in members for hit in _screen(queries, [i])]
+    share = (time.perf_counter() - t0) / len(members)
+    return [(i, cert, share) for i, cert in zip(members, certs)]
 
 
 def _run_split(query: CertificationQuery):
@@ -292,7 +316,7 @@ def _run_split(query: CertificationQuery):
 
 
 def _execute_query(query: CertificationQuery):
-    """Dispatch one query: presolve tier first, then the solver tier."""
+    """Run one query's solver tier (presolve already ran in the parent)."""
     from repro.certify import (
         CertifierConfig,
         GlobalRobustnessCertifier,
@@ -301,11 +325,6 @@ def _execute_query(query: CertificationQuery):
         certify_local_lpr,
         certify_local_nd,
     )
-
-    if query.wants_presolve():
-        cert = _try_presolve(query)
-        if cert is not None:
-            return cert
 
     if query.split:
         return _run_split(query)
@@ -401,11 +420,9 @@ def _degraded_certificate(query: CertificationQuery, bounds: str):
 
     t0 = time.perf_counter()
     local = query.kind.startswith("local")
-    box = query.presolve_input_box()
-    layer_bounds = query.shared_bounds
-    if layer_bounds is None:
-        delta = None if local else query.delta
-        layer_bounds = get_propagator(bounds).propagate(query.layers, box, delta)
+    layer_bounds = get_propagator(bounds).propagate(
+        query.layers, query.presolve_input_box(), None if local else query.delta
+    )
     detail = {
         "verdict": "undecided",
         "degraded": True,
@@ -484,6 +501,19 @@ class BatchCertifier:
     an optional progress callback fires in the parent process as each
     query completes.
 
+    Every query carrying an ``epsilon`` target (and ``presolve=True``)
+    is screened by the presolve tier in the submitting process before
+    any dispatch: queries sharing a network object, kind family (local /
+    global) and domain form a *group*, decided by one
+    :func:`~repro.certify.presolve.presolve_many` call — one batched
+    bound propagation plus one corner-vectorized attack, per-query
+    bit-identical to :func:`~repro.certify.presolve.presolve_local` /
+    :func:`~repro.certify.presolve.presolve_global`.  A group of one is
+    a one-query call.  Only the queries presolve leaves undecided reach
+    the workers, which run the solver tier alone.  Submitted queries
+    are never modified by the screen, so re-running a list gives the
+    same results.
+
     Example::
 
         engine = BatchCertifier(max_workers=4)
@@ -498,13 +528,6 @@ class BatchCertifier:
             affinity mask.  ``1`` executes inline — same semantics, no
             processes — which is also the automatic fallback when no
             worker pool can be built.
-        bulk_presolve: Screen the whole submission with one batched
-            presolve pass per query group *before* any worker dispatch
-            (default on).  Queries the pass decides never reach the
-            pool; undecided ones skip the (now redundant) scalar
-            presolve in their worker.  Per-query certificates are
-            bit-identical to the scalar presolve tier's, so turning
-            this off changes scheduling only, never results.
         retry: :class:`~repro.runtime.retry.RetryPolicy` for transient
             per-query failures (worker deaths, broken pools, injected
             chaos faults).  ``None`` uses the default policy.  A query
@@ -525,16 +548,10 @@ class BatchCertifier:
             kill.
 
     Attributes:
-        bounds_cache_info: After :meth:`run`, a dict with the shared
-            bound-propagation cache stats of that batch:
-            ``{"entries": repeated (network, input-box) pairs computed
-            once in the parent, "shared": queries served from an
-            already-computed entry}``.  Pairs occurring only once are
-            propagated inside the workers (in parallel) instead.
-        presolve_stats: After :meth:`run`, the bulk-presolve prefilter
-            stats: ``{"groups": batched presolve calls made,
-            "queries": queries screened by them, "answered": queries
-            they decided (certified or refuted) without any dispatch}``.
+        presolve_stats: After :meth:`run`, the presolve screen's stats:
+            ``{"groups": query groups screened, "queries": queries
+            screened, "answered": queries decided (certified or
+            refuted) without any dispatch}``.
         fault_stats: After :meth:`run`, that batch's fault-tolerance
             counters: ``retries`` (re-dispatched attempts),
             ``degraded`` (queries resolved by graceful degradation),
@@ -546,7 +563,6 @@ class BatchCertifier:
     def __init__(
         self,
         max_workers: int | None = None,
-        bulk_presolve: bool = True,
         retry: RetryPolicy | None = None,
         query_timeout: float | None = None,
     ) -> None:
@@ -556,84 +572,25 @@ class BatchCertifier:
             # `not > 0` also rejects NaN (same idiom as CertificationQuery).
             raise ValueError("query_timeout must be positive seconds or None")
         self.max_workers = max_workers
-        self.bulk_presolve = bulk_presolve
         self.retry = RetryPolicy() if retry is None else retry
         self.query_timeout = query_timeout
-        self.bounds_cache_info: dict[str, int] = {"entries": 0, "shared": 0}
         self.presolve_stats: dict[str, int] = {
             "groups": 0, "queries": 0, "answered": 0,
         }
         self.fault_stats: dict[str, int] = dict.fromkeys(STAT_KEYS, 0)
 
-    def _attach_shared_bounds(self, queries: list[CertificationQuery]) -> None:
-        """Compute one LayerBounds per repeated (network, input-box) pair.
-
-        Presolve-eligible queries that share the same normal-form
-        network object and the same propagation inputs (box bytes, and
-        delta for global kinds) receive the same pre-computed
-        :class:`LayerBounds`, so the batch propagates each such pair
-        exactly once instead of once per query inside the workers.
-        Pairs that occur only once are deliberately left to the workers:
-        precomputing them here would serialize otherwise-parallel work
-        in the submitting process (and pickle the bounds into the pool)
-        with nothing to share.
-        """
-        from repro.bounds.propagator import get_propagator
-
-        self.bounds_cache_info = {"entries": 0, "shared": 0}
-        eligible: list[tuple[CertificationQuery, tuple, Box]] = []
-        counts: dict[tuple, int] = {}
-        for query in queries:
-            if not query.wants_presolve() or query.shared_bounds is not None:
-                continue
-            box = query.presolve_input_box()
-            delta = None if query.kind.startswith("local") else query.delta
-            key = (id(query.layers), box.lo.tobytes(), box.hi.tobytes(), delta)
-            eligible.append((query, key, box))
-            counts[key] = counts.get(key, 0) + 1
-
-        cache: dict[tuple, LayerBounds] = {}
-        for query, key, box in eligible:
-            if counts[key] < 2:
-                continue
-            if key in cache:
-                self.bounds_cache_info["shared"] += 1
-            else:
-                delta = None if query.kind.startswith("local") else query.delta
-                cache[key] = get_propagator("symbolic").propagate(
-                    query.layers, box, delta
-                )
-                self.bounds_cache_info["entries"] += 1
-            query.shared_bounds = cache[key]
-
-    def _bulk_presolve(
+    def _presolve(
         self, queries: list[CertificationQuery]
     ) -> dict[int, BatchResult]:
-        """Screen the submission with one batched presolve pass per group.
-
-        Presolve-eligible queries sharing a network object, kind family
-        (local / global) and domain form a *group*; every group of two
-        or more is decided in the submitting process by
-        :func:`~repro.certify.presolve.presolve_many` — one batched
-        bound propagation plus one corner-vectorized attack over the
-        whole group, per-query bit-identical to the scalar presolve the
-        workers would have run.  Undecided members get
-        ``presolve=False``: the tier already ran for them, a worker
-        re-run could only reproduce the same ``None``.  Singleton
-        groups stay with the workers (batching one query buys nothing
-        and would serialize otherwise-parallel propagation here).
+        """Screen every ε-query with one presolve call per group.
 
         Returns the answered queries as ``{index: BatchResult}``; each
-        carries its group's per-query share of the batched pass time.
+        carries its call's per-query share of the pass time.
         """
-        from repro.certify.presolve import presolve_many
-
         self.presolve_stats = {"groups": 0, "queries": 0, "answered": 0}
-        if not self.bulk_presolve:
-            return {}
         groups: dict[tuple, list[int]] = {}
         for i, query in enumerate(queries):
-            if not query.wants_presolve() or query.shared_bounds is not None:
+            if not query.wants_presolve():
                 continue
             family = "local" if query.kind.startswith("local") else "global"
             domain = query.domain
@@ -645,37 +602,11 @@ class BatchCertifier:
             groups.setdefault(key, []).append(i)
 
         answered: dict[int, BatchResult] = {}
-        for (family, _, _), members in groups.items():
-            if len(members) < 2:
-                continue
-            first = queries[members[0]]
-            deltas = np.array([queries[i].delta for i in members], dtype=float)
-            epsilons = np.array(
-                [queries[i].epsilon for i in members], dtype=float
-            )
-            t0 = time.perf_counter()
-            try:
-                if family == "local":
-                    certs = presolve_many(
-                        first.layers, "local",
-                        centers=np.stack(
-                            [queries[i].center for i in members]
-                        ),
-                        domain=first.domain, deltas=deltas, epsilons=epsilons,
-                    )
-                else:
-                    certs = presolve_many(
-                        first.layers, "global",
-                        domain=first.domain, deltas=deltas, epsilons=epsilons,
-                    )
-            # repro-lint: ignore[RPR005] — a failing batched pass must not sink the submission; the group silently falls back to per-query scalar presolve in the workers, whose per-query error capture reports whatever is actually wrong
-            except Exception:
-                continue
-            share = (time.perf_counter() - t0) / len(members)
+        for members in groups.values():
+            screened = _screen(queries, members)
             self.presolve_stats["groups"] += 1
-            self.presolve_stats["queries"] += len(members)
-            for i, cert in zip(members, certs):
-                queries[i].presolve = False  # tier already ran for this query
+            self.presolve_stats["queries"] += len(screened)
+            for i, cert, share in screened:
                 if cert is not None:
                     answered[i] = BatchResult(
                         index=i, tag=queries[i].tag, certificate=cert,
@@ -691,8 +622,8 @@ class BatchCertifier:
     ) -> list[BatchResult]:
         """Execute all queries; return one :class:`BatchResult` each.
 
-        The bulk-presolve prefilter runs first (see ``bulk_presolve``);
-        only the queries it leaves unanswered are dispatched to worker
+        The presolve screen runs first in this process; only the
+        queries it leaves unanswered are dispatched to worker
         processes.
 
         Args:
@@ -705,13 +636,12 @@ class BatchCertifier:
         self.fault_stats = dict.fromkeys(STAT_KEYS, 0)
         results: list[BatchResult | None] = [None] * total
         done = 0
-        for index, result in sorted(self._bulk_presolve(queries).items()):
+        for index, result in sorted(self._presolve(queries).items()):
             results[index] = result
             done += 1
             if progress is not None:
                 progress(done, total, result)
         pending = [(i, q) for i, q in enumerate(queries) if results[i] is None]
-        self._attach_shared_bounds([q for _, q in pending])
         workers = pool_size(self.max_workers, len(pending))
         if (
             workers is None

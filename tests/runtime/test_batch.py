@@ -101,9 +101,6 @@ class TestPresolveTier:
         assert all(
             r.certificate.detail["verdict"] == "certified" for r in results
         )
-        # Distinct centers never share a cache entry, so nothing is
-        # precomputed in the parent (workers propagate in parallel).
-        assert engine.bounds_cache_info == {"entries": 0, "shared": 0}
 
     def test_presolve_disabled_falls_through(self, layers, centers):
         queries = local_queries(
@@ -112,19 +109,24 @@ class TestPresolveTier:
         engine = BatchCertifier(max_workers=1)
         results = engine.run(queries)
         assert results[0].certificate.method == "local-exact"
-        assert engine.bounds_cache_info["entries"] == 0
+        assert engine.presolve_stats == {"groups": 0, "queries": 0, "answered": 0}
 
-    def test_shared_bounds_cached_per_input_box(self, layers, centers):
-        # The same center submitted twice must propagate bounds once.
-        # (Legacy path: with the bulk prefilter on, these queries would
-        # be answered in the parent before the cache ever sees them.)
+    def test_duplicate_centers_share_one_group_pass(self, layers, centers):
+        # The same center submitted twice is screened in the same
+        # batched call and gets an identical certificate both times.
         doubled = np.vstack([centers, centers])
-        queries = local_queries(layers, doubled, 0.01, epsilon=1e6)
-        engine = BatchCertifier(max_workers=1, bulk_presolve=False)
-        engine.run(queries)
-        assert engine.bounds_cache_info["entries"] == len(centers)
-        assert engine.bounds_cache_info["shared"] == len(centers)
-        assert all(q.shared_bounds is not None for q in queries)
+        engine = BatchCertifier(max_workers=1)
+        results = engine.run(local_queries(layers, doubled, 0.01, epsilon=1e6))
+        assert engine.presolve_stats == {
+            "groups": 1, "queries": len(doubled), "answered": len(doubled),
+        }
+        k = len(centers)
+        for a, b in zip(results[:k], results[k:]):
+            assert a.certificate.method == b.certificate.method == "presolve"
+            assert a.certificate.verdict == b.certificate.verdict
+            for field in ("epsilons", "output_lo", "output_hi"):
+                assert getattr(a.certificate, field).tobytes() == \
+                    getattr(b.certificate, field).tobytes()
 
     def test_bulk_presolve_screens_batch_in_parent(self, layers, centers):
         queries = local_queries(layers, centers, 0.01, epsilon=1e6)
@@ -135,28 +137,86 @@ class TestPresolveTier:
         assert engine.presolve_stats == {
             "groups": 1, "queries": len(centers), "answered": len(centers),
         }
-        # The prefilter marks every screened query so workers never
-        # repeat the tier.
-        assert all(not q.presolve for q in queries)
+        # The screen never writes to the caller's queries.
+        assert all(q.presolve for q in queries)
+
+    def test_repeated_runs_give_identical_results(self, layers, centers):
+        queries = local_queries(layers, centers, 0.01, epsilon=1e6)
+        engine = BatchCertifier(max_workers=1)
+        runs = [
+            engine.run(queries),
+            engine.run(queries),
+            BatchCertifier(max_workers=1).run(queries),
+        ]
+        for results in runs:
+            assert [r.certificate.method for r in results] == \
+                ["presolve"] * len(centers)
+        for first, *others in zip(*runs):
+            for other in others:
+                assert other.certificate.verdict == first.certificate.verdict
+                assert other.certificate.epsilons.tobytes() == \
+                    first.certificate.epsilons.tobytes()
+        assert all(q.presolve for q in queries)
 
     def test_bulk_presolve_matches_scalar_presolve(self, layers, centers):
-        # Identical submissions with the prefilter on and off must
-        # produce bit-identical certificates (only scheduling differs).
-        eps = 0.3
-        on = BatchCertifier(max_workers=1).run(
-            local_queries(layers, centers, 0.05, epsilon=eps)
-        )
-        off = BatchCertifier(max_workers=1, bulk_presolve=False).run(
-            local_queries(layers, centers, 0.05, epsilon=eps)
-        )
-        for a, b in zip(on, off):
-            assert a.ok and b.ok
-            assert a.certificate.method == b.certificate.method
-            np.testing.assert_array_equal(
-                a.certificate.epsilons, b.certificate.epsilons
+        # One local group mixing certified, refuted and undecided
+        # targets, plus a singleton global-exact group: every engine
+        # answer equals the direct scalar presolve call, and a query
+        # the scalar call leaves undecided gets its solver tier.
+        from repro.certify.presolve import presolve_global, presolve_local
+
+        delta = 0.5
+        chain = list(layers)
+        cases = [
+            (center, presolve_local(chain, center, delta, 1e6).epsilon * factor)
+            for center in centers
+            for factor in (0.5, 0.95, 2.0)
+        ]
+        box = Box.uniform(3, 0.0, 1.0)
+        queries = [
+            CertificationQuery(
+                kind="local-exact", layers=chain, delta=delta, center=center,
+                epsilon=eps, tag=f"q{i}",
             )
-            assert a.certificate.detail.get("verdict") == \
-                b.certificate.detail.get("verdict")
+            for i, (center, eps) in enumerate(cases)
+        ] + [global_query(layers, box, 0.05, exact=True, epsilon=1e6)]
+        expected = [
+            presolve_local(chain, center, delta, eps) for center, eps in cases
+        ] + [presolve_global(layers, box, 0.05, 1e6)]
+        verdicts = {None if ref is None else ref.verdict for ref in expected}
+        assert verdicts == {"certified", "refuted", None}
+
+        engine = BatchCertifier(max_workers=1)
+        results = engine.run(queries)
+        assert engine.presolve_stats["groups"] == 2
+        assert engine.presolve_stats["queries"] == len(queries)
+        for query, result, ref in zip(queries, results, expected):
+            assert result.ok, result.error
+            cert = result.certificate
+            if ref is None:
+                assert cert.method == query.kind
+                continue
+            assert cert.method == "presolve"
+            assert cert.verdict == ref.verdict
+            assert cert.epsilons.tobytes() == ref.epsilons.tobytes()
+
+    def test_failing_group_screens_members_one_by_one(self, layers, centers):
+        queries = local_queries(layers, centers, 0.01, epsilon=1e6)
+        bad = CertificationQuery(
+            kind="local-exact", layers=queries[0].layers, delta=0.01,
+            center=np.ones(7), epsilon=1e6, tag="bad",
+        )
+        queries.insert(1, bad)
+        engine = BatchCertifier(max_workers=1)
+        results = engine.run(queries)
+        assert [r.tag for r in results] == [q.tag for q in queries]
+        assert not results[1].ok
+        assert results[1].detail["error_type"] == "builtins.ValueError"
+        good = results[:1] + results[2:]
+        assert all(r.ok and r.certificate.method == "presolve" for r in good)
+        assert engine.presolve_stats == {
+            "groups": 1, "queries": len(centers), "answered": len(centers),
+        }
 
     def test_global_presolve_through_engine(self, layers):
         box = Box.uniform(3, 0.0, 1.0)

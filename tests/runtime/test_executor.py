@@ -35,6 +35,10 @@ def _fail(kind):
     raise {"transient": OSError, "permanent": ValueError}[kind]("boom")
 
 
+def _inject(point):
+    raise faults.InjectedFault(point, 1)
+
+
 def _budget(payload, seconds_left):
     return seconds_left
 
@@ -102,6 +106,17 @@ class TestSupervisedMap:
         assert (tag, payload, attempts) == ("fallback", "transient", 2)
         assert "OSError" in reason
         assert stats["retries"] == 1 and stats["degraded"] == 1
+
+    def test_raised_fault_fails_one_item_not_the_pool(self, workers):
+        stats = dict.fromkeys(STAT_KEYS, 0)
+        out = SupervisedMap(
+            _inject, ["p"], workers, RetryPolicy(max_attempts=1), _fallback,
+            stats=stats,
+        ).run()
+        tag, payload, reason, attempts = out[0]
+        assert (tag, payload, attempts) == ("fallback", "p", 1)
+        assert "InjectedFault" in reason
+        assert stats["pool_rebuilds"] == 0 and stats["degraded"] == 1
 
     def test_permanent_failure_raises(self, workers):
         with pytest.raises(ValueError, match="boom"):
