@@ -1,13 +1,12 @@
 """Benchmark — array-native vs per-neuron MILP model construction.
 
-PR 1 made the *solve* path sparse; after that, profile showed model
-*construction* dominated by per-coefficient Python work: ``_row_dot``
-folding every weight into a dict per neuron, then every ReLU constraint
-copying that dict again.  The encoders now emit whole layers as COO
-blocks (``Model.add_linear_rows``); this bench measures the build-time
-ratio on the Table-1 MNIST net (DNN-6) and verifies the two assembly
-paths produce bit-identical standard-form matrices (up to row order,
-which is canonicalized before comparison).
+The encoders emit whole layers as COO blocks (``Model.add_linear_rows``).
+The per-neuron side is the dict-based reference in
+``tests/encoding/_reference.py``: ``row_dot`` folds every weight into a
+coefficient dict per neuron, then every ReLU constraint copies that dict
+again.  This bench measures the build-time ratio on the Table-1 MNIST
+net (DNN-6) and verifies the two produce bit-identical standard-form
+matrices (up to row order, which is canonicalized before comparison).
 
 Run standalone (used by CI in smoke mode, no model training needed)::
 
@@ -31,6 +30,7 @@ from repro.bounds import Box
 from repro.encoding import encode_btne, encode_itne, encode_single_network
 from repro.nn.affine import AffineLayer
 from repro.utils import format_table
+from tests.encoding._reference import reference_btne, reference_itne, reference_single
 
 
 def tiny_chain(rng, depth=3, width=16, in_dim=8, out_dim=2):
@@ -78,7 +78,7 @@ def _time_build(build, repeats: int) -> tuple[float, object]:
 
 
 def bench_encoders(layers, box, delta, repeats=3):
-    """Time vectorized vs reference construction for all three encoders.
+    """Time block vs per-neuron reference construction for all three encoders.
 
     Returns:
         ``(rows, speedups, all_identical, stats)`` — display table rows,
@@ -86,17 +86,26 @@ def bench_encoders(layers, box, delta, repeats=3):
         verdict, and the machine-readable per-encoder stats.
     """
     builders = {
-        "single": lambda vec: encode_single_network(layers, box, vectorized=vec),
-        "itne": lambda vec: encode_itne(layers, box, delta, vectorized=vec),
-        "btne": lambda vec: encode_btne(layers, box, delta, vectorized=vec),
+        "single": (
+            lambda: encode_single_network(layers, box),
+            lambda: reference_single(layers, box),
+        ),
+        "itne": (
+            lambda: encode_itne(layers, box, delta),
+            lambda: reference_itne(layers, box, delta),
+        ),
+        "btne": (
+            lambda: encode_btne(layers, box, delta),
+            lambda: reference_btne(layers, box, delta),
+        ),
     }
     rows = []
     speedups = {}
     stats = {}
     all_identical = True
-    for name, build in builders.items():
-        t_vec, enc_vec = _time_build(lambda: build(True), repeats)
-        t_ref, enc_ref = _time_build(lambda: build(False), max(1, repeats - 2))
+    for name, (build, build_ref) in builders.items():
+        t_vec, enc_vec = _time_build(build, repeats)
+        t_ref, enc_ref = _time_build(build_ref, max(1, repeats - 2))
         same = matrices_identical(enc_vec.model, enc_ref.model)
         all_identical &= same
         speedups[name] = t_ref / t_vec
@@ -161,7 +170,7 @@ def run(smoke: bool, emit=print, write_json=write_bench_json) -> tuple[float, bo
 def test_bench_encoding(report, json_report):
     """Benchmark-suite entry: MNIST-scale net, asserts the PR targets."""
     speedup, identical = run(smoke=False, emit=report, write_json=json_report)
-    assert identical, "vectorized and per-neuron paths diverged"
+    assert identical, "block and per-neuron reference encodings diverged"
     assert speedup >= 3.0, f"ITNE construction speedup {speedup}x < 3x floor"
 
 

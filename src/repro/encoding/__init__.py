@@ -2,6 +2,8 @@
 
 Implements the paper's §II-B/§II-C machinery:
 
+* :mod:`repro.encoding.assembly` — the array-native row blocks every
+  encoder builds its constraints from.
 * :mod:`repro.encoding.bigm` — exact big-M encoding of a ReLU given
   pre-activation bounds.
 * :mod:`repro.encoding.relaxation` — the triangle relaxation of a ReLU
@@ -16,15 +18,13 @@ Implements the paper's §II-B/§II-C machinery:
 
 from __future__ import annotations
 
-from repro.encoding.assembly import RowBlockBuilder, affine_link_rows, row_dot
-from repro.encoding.bigm import encode_relu_exact, relu_exact_rows
+from repro.encoding.assembly import RowBlockBuilder, affine_link_rows
+from repro.encoding.bigm import relu_exact_rows
 from repro.encoding.btne import BtneEncoding, encode_btne
 from repro.encoding.itne import ItneEncoding, encode_itne
 from repro.encoding.relaxation import (
     couple_triangle_rows,
     distance_relaxed_rows,
-    encode_distance_relaxed,
-    encode_relu_triangle,
     eq4_score,
     eq6_bounds,
     eq6_score,
@@ -35,12 +35,8 @@ from repro.encoding.single import SingleEncoding, encode_single_network
 __all__ = [
     "RowBlockBuilder",
     "affine_link_rows",
-    "row_dot",
-    "encode_relu_exact",
     "relu_exact_rows",
-    "encode_relu_triangle",
     "relu_triangle_rows",
-    "encode_distance_relaxed",
     "distance_relaxed_rows",
     "couple_triangle_rows",
     "eq6_bounds",

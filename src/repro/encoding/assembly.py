@@ -1,20 +1,16 @@
 """Array-native constraint assembly shared by the network encoders.
 
-The encoders historically built every constraint as a Python dict walk:
-``_row_dot`` folded one weight row into a :class:`LinExpr` coefficient
-dict per neuron, and each ReLU constraint copied that dict several more
-times.  Model construction cost was dominated by per-coefficient Python
-work.
-
-This module is the fast path that replaces it.  Pre-activations become
-model *variables* tied to the previous layer by one equality block per
-layer (``y - W x = b``), emitted as COO triplets straight out of the
-layer's weight matrix via :func:`affine_link_rows`; the small per-neuron
-ReLU rows are batched through a :class:`RowBlockBuilder` and flushed as
-one :meth:`~repro.milp.model.Model.add_linear_rows` call per layer.  An
+Pre-activations are model *variables* tied to the previous layer by one
+equality block per layer (``y - W x = b``), emitted as COO triplets
+straight out of the layer's weight matrix via :func:`affine_link_rows`;
+the small per-neuron ReLU rows are batched through a
+:class:`RowBlockBuilder` and flushed as one
+:meth:`~repro.milp.model.Model.add_linear_rows` call per layer.  An
 encoded network therefore flows from :class:`~repro.nn.affine.AffineLayer`
-arrays to the solver's CSR matrices without materializing per-coefficient
-dicts anywhere.
+arrays to the solver's CSR matrices without materializing
+per-coefficient dicts anywhere.  This is the encoders' only assembly
+path; ``tests/encoding/_reference.py`` builds the same formulation one
+constraint at a time as the independent parity reference.
 """
 
 from __future__ import annotations
@@ -103,9 +99,8 @@ def affine_link_rows(
 ) -> None:
     """Append ``out_j − Σ_k W[j,k]·h_k == bias_j`` as one COO block.
 
-    This is the whole-layer replacement for per-neuron ``_row_dot``
-    loops: the weight block lands in the model as numpy triplets.  The
-    input handles are usually plain variables (one column gather); mixed
+    The weight block lands in the model as numpy triplets.  The input
+    handles are usually plain variables (one column gather); mixed
     ``Var``/``LinExpr`` handles — e.g. the refined ITNE distance handles
     ``Δx = x̂ − x`` — are expanded through their sparse terms, exactly
     as dict-based expression arithmetic would.
@@ -155,30 +150,3 @@ def affine_link_rows(
     cols = np.concatenate([out_idx, hcol[entries]])
     model.add_linear_rows((data, (rows, cols)), Sense.EQ, rhs, name=name)
 
-
-def row_dot(
-    weights: np.ndarray, handles: list[Var | LinExpr], bias: float
-) -> LinExpr:
-    """Affine combination ``w · handles + bias`` over mixed handles.
-
-    The dict-based reference implementation of what
-    :func:`affine_link_rows` emits array-natively; kept (and used by the
-    encoders' ``vectorized=False`` path) so equivalence tests and the
-    construction benchmark can compare the two assembly strategies on
-    identical formulations.
-    """
-    total = LinExpr.constant_expr(bias)
-    direct_vars: list[Var] = []
-    direct_w: list[float] = []
-    for w, h in zip(weights, handles):
-        # repro-lint: ignore[RPR001] — structural exact-zero skip, mirroring the mask in affine_link_rows: both assembly paths must drop exactly the same (zero) terms to stay bit-identical
-        if w == 0.0:
-            continue
-        if isinstance(h, Var):
-            direct_vars.append(h)
-            direct_w.append(float(w))
-        else:
-            total = total + h * float(w)
-    if direct_vars:
-        total = total + LinExpr.weighted_sum(direct_vars, direct_w)
-    return total

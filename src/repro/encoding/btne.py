@@ -3,7 +3,9 @@
 Two full copies of the network are encoded independently and tied only at
 the input (perturbation constraint) and output (distance expressions).
 No hidden-layer distance information exists, which is exactly why ND/LPR
-over-approximations degrade badly under BTNE (paper Fig. 4).
+over-approximations degrade badly under BTNE (paper Fig. 4).  Both
+copies and the input link are assembled as row blocks (see
+:mod:`repro.encoding.assembly`).
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import numpy as np
 
 from repro.bounds.interval import Box
 from repro.bounds.propagator import get_propagator
+from repro.encoding.assembly import RowBlockBuilder
 from repro.encoding.single import SingleEncoding, encode_single_network
 from repro.milp import Model, Sense
-from repro.milp.expr import LinExpr, Var, as_expr
+from repro.milp.expr import LinExpr, as_expr
 from repro.nn.affine import AffineLayer
 
 
@@ -42,7 +45,6 @@ def encode_btne(
     input_box: Box,
     delta: float | Box,
     relax_mask: list[np.ndarray] | None = None,
-    vectorized: bool = True,
     bounds: str = "ibp",
     pre_act_bounds: list[Box] | None = None,
 ) -> BtneEncoding:
@@ -54,8 +56,6 @@ def encode_btne(
         delta: L∞ perturbation bound δ (or an explicit perturbation box).
         relax_mask: Optional per-layer relax masks applied to *both*
             copies (True = triangle relaxation).
-        vectorized: Emit per-layer constraint blocks (default); False
-            uses the per-neuron dict-based reference assembly.
         bounds: Bound propagator seeding both copies' big-M ranges
             (``"ibp"`` or ``"symbolic"``); ignored when explicit
             ``pre_act_bounds`` are given.
@@ -65,40 +65,33 @@ def encode_btne(
     Returns:
         A :class:`BtneEncoding`.
     """
+    if isinstance(delta, Box):
+        if delta.dim != input_box.dim:
+            raise ValueError("perturbation box dimension mismatch")
+        d_lo, d_hi = delta.lo, delta.hi
+    else:
+        d_lo = np.full(input_box.dim, -float(delta))
+        d_hi = np.full(input_box.dim, float(delta))
     model = Model("btne")
     # Both copies range over the same input box, so one propagation
     # seeds both encodings.
     if pre_act_bounds is None:
         pre_act_bounds = get_propagator(bounds).propagate(layers, input_box).y
-    pre_acts = pre_act_bounds
     first = encode_single_network(
-        layers, input_box, relax_mask=relax_mask, pre_act_bounds=pre_acts,
-        model=model, prefix="a", vectorized=vectorized,
+        layers, input_box, relax_mask=relax_mask,
+        pre_act_bounds=pre_act_bounds, model=model, prefix="a",
     )
     second = encode_single_network(
-        layers, input_box, relax_mask=relax_mask, pre_act_bounds=pre_acts,
-        model=model, prefix="b", vectorized=vectorized,
+        layers, input_box, relax_mask=relax_mask,
+        pre_act_bounds=pre_act_bounds, model=model, prefix="b",
     )
 
-    if isinstance(delta, Box):
-        d_lo, d_hi = delta.lo, delta.hi
-    else:
-        d_lo = np.full(input_box.dim, -float(delta))
-        d_hi = np.full(input_box.dim, float(delta))
-    if vectorized:
-        from repro.encoding.assembly import RowBlockBuilder
-
-        link = RowBlockBuilder()
-        for k, (xa, xb) in enumerate(zip(first.input_vars, second.input_vars)):
-            pair = [xb.index, xa.index]
-            link.add(pair, [1.0, -1.0], Sense.LE, float(d_hi[k]))
-            link.add(pair, [1.0, -1.0], Sense.GE, float(d_lo[k]))
-        link.flush(model, name="delta.link")
-    else:
-        for k, (xa, xb) in enumerate(zip(first.input_vars, second.input_vars)):
-            diff = xb - xa
-            model.add_constr(diff <= float(d_hi[k]))
-            model.add_constr(diff >= float(d_lo[k]))
+    link = RowBlockBuilder()
+    for k, (xa, xb) in enumerate(zip(first.input_vars, second.input_vars)):
+        pair = [xb.index, xa.index]
+        link.add(pair, [1.0, -1.0], Sense.LE, float(d_hi[k]))
+        link.add(pair, [1.0, -1.0], Sense.GE, float(d_lo[k]))
+    link.flush(model, name="delta.link")
 
     output_distance = [
         as_expr(xb) - as_expr(xa)

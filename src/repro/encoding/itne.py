@@ -17,10 +17,8 @@ solves the exact global-robustness problem of Eq. 1.
 Pre-activations ``y(i)`` and their distances ``Δy(i)`` are model
 variables linked to the previous layer by one equality block each
 (``y − W x = b``, ``Δy − W Δx = 0``); the globally valid range cuts of
-Algorithm 1 become their variable bounds.  The default assembly is
-array-native (per-layer COO blocks, see :mod:`repro.encoding.assembly`);
-``vectorized=False`` builds the identical formulation with per-neuron
-expression dicts for equivalence testing and benchmarking.
+Algorithm 1 become their variable bounds.  Constraints are assembled
+array-natively: per-layer COO blocks, see :mod:`repro.encoding.assembly`.
 """
 
 from __future__ import annotations
@@ -32,20 +30,16 @@ import numpy as np
 
 from repro.bounds.interval import Box
 from repro.bounds.ranges import RangeTable
-from repro.encoding.assembly import RowBlockBuilder, affine_link_rows, row_dot
-from repro.encoding.bigm import encode_relu_exact, relu_exact_rows
+from repro.encoding.assembly import RowBlockBuilder, affine_link_rows
+from repro.encoding.bigm import relu_exact_rows
 from repro.encoding.relaxation import (
     couple_triangle_rows,
     distance_relaxed_rows,
-    encode_distance_relaxed,
-    encode_relu_triangle,
     relu_triangle_rows,
 )
 from repro.milp import Model, Sense
 from repro.milp.expr import LinExpr, Var, as_expr
 from repro.nn.affine import AffineLayer
-
-Handle = "Var | LinExpr"
 
 
 @dataclass
@@ -98,7 +92,6 @@ def encode_itne(
     clip_second_input: bool = True,
     model: Model | None = None,
     prefix: str = "t",
-    vectorized: bool = True,
     bounds: str = "ibp",
 ) -> ItneEncoding:
     """Encode the twin pair under ITNE.
@@ -123,9 +116,6 @@ def encode_itne(
             Definition 1).
         model: Existing model to extend.
         prefix: Variable-name prefix.
-        vectorized: Emit per-layer constraint blocks (default); False
-            assembles the same formulation per neuron via expression
-            dicts (reference path).
         bounds: Bound propagator seeding the range table when ``ranges``
             is omitted (``"ibp"`` or ``"symbolic"``).
 
@@ -151,18 +141,12 @@ def encode_itne(
         delta_box.dim, lb=delta_box.lo, ub=delta_box.hi, prefix=f"{prefix}.dx0"
     )
     if clip_second_input:
-        if vectorized:
-            clip = RowBlockBuilder()
-            for k, (x0, d0) in enumerate(zip(input_vars, input_dist_vars)):
-                pair = [x0.index, d0.index]
-                clip.add(pair, [1.0, 1.0], Sense.GE, float(input_box.lo[k]))
-                clip.add(pair, [1.0, 1.0], Sense.LE, float(input_box.hi[k]))
-            clip.flush(model, name=f"{prefix}.clip")
-        else:
-            for k, (x0, d0) in enumerate(zip(input_vars, input_dist_vars)):
-                second = x0 + d0
-                model.add_constr(second >= float(input_box.lo[k]))
-                model.add_constr(second <= float(input_box.hi[k]))
+        clip = RowBlockBuilder()
+        for k, (x0, d0) in enumerate(zip(input_vars, input_dist_vars)):
+            pair = [x0.index, d0.index]
+            clip.add(pair, [1.0, 1.0], Sense.GE, float(input_box.lo[k]))
+            clip.add(pair, [1.0, 1.0], Sense.LE, float(input_box.hi[k]))
+        clip.flush(model, name=f"{prefix}.clip")
 
     enc = ItneEncoding(model, input_vars, input_dist_vars)
     cur_x: list[Var | LinExpr] = list(input_vars)
@@ -192,33 +176,20 @@ def encode_itne(
         dy_vars = model.add_vars_array(
             m_i, lb=dy_lo, ub=dy_hi, prefix=f"{prefix}.dy{i}"
         )
-        zero_bias = np.zeros(m_i)
-        rows: RowBlockBuilder | None = None
-        if vectorized:
-            affine_link_rows(
-                model, y_vars, layer.weight, cur_x, layer.bias,
-                name=f"{prefix}.l{i}.link",
-            )
-            affine_link_rows(
-                model, dy_vars, layer.weight, cur_dx, zero_bias,
-                name=f"{prefix}.l{i}.dlink",
-            )
-            rows = RowBlockBuilder()
-        else:
-            for j in range(m_i):
-                model.add_constr(
-                    y_vars[j]
-                    == row_dot(layer.weight[j], cur_x, float(layer.bias[j]))
-                )
-            for j in range(m_i):
-                model.add_constr(
-                    dy_vars[j] == row_dot(layer.weight[j], cur_dx, 0.0)
-                )
+        affine_link_rows(
+            model, y_vars, layer.weight, cur_x, layer.bias,
+            name=f"{prefix}.l{i}.link",
+        )
+        affine_link_rows(
+            model, dy_vars, layer.weight, cur_dx, np.zeros(m_i),
+            name=f"{prefix}.l{i}.dlink",
+        )
 
         if not layer.relu:
             x_list: list[Var | LinExpr] = list(y_vars)
             dx_list: list[Var | LinExpr] = list(dy_vars)
         else:
+            rows = RowBlockBuilder()
             x_list = []
             dx_list = []
             for j in range(m_i):
@@ -228,63 +199,25 @@ def encode_itne(
                 tag = f"{prefix}.l{i}n{j}"
                 refine = True if mask is None else bool(mask[j])
                 if refine:
-                    if rows is not None:
-                        x_var = relu_exact_rows(model, rows, y_var, y_lb, y_ub, name=tag)
-                        xhat_var = relu_exact_rows(
-                            model,
-                            rows,
-                            y_var + dy_var,
-                            y_lb + dy_lb,
-                            y_ub + dy_ub,
-                            name=f"{tag}.hat",
-                        )
-                    else:
-                        x_var = encode_relu_exact(model, y_var, y_lb, y_ub, name=tag)
-                        xhat_var = encode_relu_exact(
-                            model,
-                            y_var + dy_var,
-                            y_lb + dy_lb,
-                            y_ub + dy_ub,
-                            name=f"{tag}.hat",
-                        )
+                    x_var = relu_exact_rows(model, rows, y_var, y_lb, y_ub, name=tag)
+                    xhat_var = relu_exact_rows(
+                        model, rows, y_var + dy_var, y_lb + dy_lb, y_ub + dy_ub,
+                        name=f"{tag}.hat",
+                    )
                     x_list.append(x_var)
                     dx_list.append(as_expr(xhat_var) - as_expr(x_var))
                 else:
-                    if rows is not None:
-                        x_var = relu_triangle_rows(
-                            model, rows, y_var, y_lb, y_ub, name=tag
+                    x_var = relu_triangle_rows(model, rows, y_var, y_lb, y_ub, name=tag)
+                    dx_var = distance_relaxed_rows(
+                        model, rows, dy_var, dy_lb, dy_ub, name=tag
+                    )
+                    if couple_second_copy:
+                        couple_triangle_rows(
+                            rows, x_var, dx_var, y_var, dy_var,
+                            y_lb + dy_lb, y_ub + dy_ub,
                         )
-                        dx_var = distance_relaxed_rows(
-                            model, rows, dy_var, dy_lb, dy_ub, name=tag
-                        )
-                        if couple_second_copy:
-                            couple_triangle_rows(
-                                rows,
-                                x_var,
-                                dx_var,
-                                y_var,
-                                dy_var,
-                                y_lb + dy_lb,
-                                y_ub + dy_ub,
-                            )
-                    else:
-                        x_var = encode_relu_triangle(
-                            model, y_var, y_lb, y_ub, name=tag
-                        )
-                        dx_var = encode_distance_relaxed(
-                            model, dy_var, dy_lb, dy_ub, name=tag
-                        )
-                        if couple_second_copy:
-                            _couple_triangle(
-                                model,
-                                x_var + dx_var,
-                                y_var + dy_var,
-                                y_lb + dy_lb,
-                                y_ub + dy_ub,
-                            )
                     x_list.append(x_var)
                     dx_list.append(dx_var)
-        if rows is not None:
             rows.flush(model, name=f"{prefix}.l{i}.relu")
         enc.y.append(list(y_vars))
         enc.dy.append(list(dy_vars))
@@ -293,18 +226,3 @@ def encode_itne(
         cur_x, cur_dx = x_list, dx_list
     return enc
 
-
-def _couple_triangle(
-    model: Model, xhat: LinExpr, yhat: LinExpr, lb: float, ub: float
-) -> None:
-    """Triangle constraints on the implicit second copy ``x̂ = x + Δx``."""
-    if ub <= 0.0:
-        model.add_constr(xhat == 0.0)
-        return
-    if lb >= 0.0:
-        model.add_constr(xhat == yhat)
-        return
-    model.add_constr(xhat >= 0.0)
-    model.add_constr(xhat >= yhat)
-    slope = ub / (ub - lb)
-    model.add_constr(xhat <= slope * yhat - slope * lb)

@@ -3,7 +3,10 @@
 These are the two relaxations that, combined with the interleaving
 encoding, remove all integer variables from the certification MILPs.
 Both come with *scores* measuring their worst-case inaccuracy — the
-quantities Algorithm 1 ranks to pick which neurons to refine.
+quantities Algorithm 1 ranks to pick which neurons to refine.  The
+emitters append their rows to a
+:class:`~repro.encoding.assembly.RowBlockBuilder`; the encoders flush
+one block per layer.
 """
 
 from __future__ import annotations
@@ -11,42 +14,6 @@ from __future__ import annotations
 from repro.encoding.assembly import RowBlockBuilder, handle_terms
 from repro.milp import Model, Sense, Var
 from repro.milp.expr import LinExpr
-
-
-def encode_relu_triangle(
-    model: Model,
-    y: Var | LinExpr,
-    lb: float,
-    ub: float,
-    name: str = "relu",
-) -> Var:
-    """Add the triangle relaxation of ``x = max(y, 0)`` (paper Eq. 4).
-
-    For ``lb < 0 < ub`` the feasible set is the triangle
-
-        x ≥ 0,   x ≥ y,   x ≤ ub·(y − lb)/(ub − lb).
-
-    Stable cases degenerate to exact equalities.
-
-    Returns:
-        The post-activation variable ``x``.
-    """
-    if lb > ub:
-        raise ValueError(f"invalid ReLU bounds [{lb}, {ub}]")
-    y_expr = y.to_expr() if isinstance(y, Var) else y
-
-    if ub <= 0.0:
-        return model.add_var(lb=0.0, ub=0.0, name=f"{name}.x")
-    if lb >= 0.0:
-        x = model.add_var(lb=lb, ub=ub, name=f"{name}.x")
-        model.add_constr(x == y_expr)
-        return x
-
-    x = model.add_var(lb=0.0, ub=ub, name=f"{name}.x")
-    model.add_constr(x >= y_expr)
-    slope = ub / (ub - lb)
-    model.add_constr(x <= slope * y_expr - slope * lb)
-    return x
 
 
 def relu_triangle_rows(
@@ -57,10 +24,17 @@ def relu_triangle_rows(
     ub: float,
     name: str = "relu",
 ) -> Var:
-    """Block-assembly twin of :func:`encode_relu_triangle`.
+    """Encode the triangle relaxation of ``x = max(y, 0)`` (paper Eq. 4).
 
-    Same variables, same coefficient rows, appended to ``rows`` for one
-    batched insertion per layer.
+    For ``lb < 0 < ub`` the feasible set is the triangle
+
+        x ≥ 0,   x ≥ y,   x ≤ ub·(y − lb)/(ub − lb).
+
+    Stable cases degenerate to exact equalities.  The rows are appended
+    to ``rows`` for the caller to flush.
+
+    Returns:
+        The post-activation variable ``x``.
     """
     if lb > ub:
         raise ValueError(f"invalid ReLU bounds [{lb}, {ub}]")
@@ -92,45 +66,6 @@ def eq6_bounds(dy_lb: float, dy_ub: float) -> tuple[float, float]:
     return min(0.0, dy_lb), max(0.0, dy_ub)
 
 
-def encode_distance_relaxed(
-    model: Model,
-    dy: Var | LinExpr,
-    dy_lb: float,
-    dy_ub: float,
-    name: str = "dist",
-) -> Var:
-    """Add the relaxed ReLU distance relation (paper Eq. 6 / Fig. 3 right).
-
-    Encodes the butterfly hull of ``Δx = relu(y + Δy) − relu(y)`` over
-    all ``y ∈ R`` given ``Δy ∈ [Δy̲, Δy̅]``:
-
-        l(u − Δy)/(u − l)  ≤  Δx  ≤  u(Δy − l)/(u − l),
-
-    with ``l = min(0, Δy̲)`` and ``u = max(0, Δy̅)``.  Single-signed
-    ranges degenerate to the exact hull ``0 ∧ Δy ≤ Δx ≤ 0 ∨ Δy``, and a
-    zero-width range pins ``Δx = 0``.
-
-    Returns:
-        The distance variable ``Δx``.
-    """
-    if dy_lb > dy_ub:
-        raise ValueError(f"invalid Δy bounds [{dy_lb}, {dy_ub}]")
-    dy_expr = dy.to_expr() if isinstance(dy, Var) else dy
-    l, u = eq6_bounds(dy_lb, dy_ub)
-
-    if u - l <= 0.0:
-        # Δy can only be 0 -> the two copies agree at this neuron.
-        return model.add_var(lb=0.0, ub=0.0, name=f"{name}.dx")
-
-    dx = model.add_var(lb=l, ub=u, name=f"{name}.dx")
-    span = u - l
-    # Lower: dx >= l*(u - dy)/span  <=>  dx - (l/span)*(u - dy) >= 0
-    model.add_constr(dx >= (l * u) / span - (l / span) * dy_expr)
-    # Upper: dx <= u*(dy - l)/span
-    model.add_constr(dx <= (u / span) * dy_expr - (u * l) / span)
-    return dx
-
-
 def distance_relaxed_rows(
     model: Model,
     rows: RowBlockBuilder,
@@ -139,7 +74,21 @@ def distance_relaxed_rows(
     dy_ub: float,
     name: str = "dist",
 ) -> Var:
-    """Block-assembly twin of :func:`encode_distance_relaxed`."""
+    """Encode the relaxed ReLU distance relation (paper Eq. 6 / Fig. 3 right).
+
+    Encodes the butterfly hull of ``Δx = relu(y + Δy) − relu(y)`` over
+    all ``y ∈ R`` given ``Δy ∈ [Δy̲, Δy̅]``:
+
+        l(u − Δy)/(u − l)  ≤  Δx  ≤  u(Δy − l)/(u − l),
+
+    with ``l = min(0, Δy̲)`` and ``u = max(0, Δy̅)``.  Single-signed
+    ranges degenerate to the exact hull ``0 ∧ Δy ≤ Δx ≤ 0 ∨ Δy``, and a
+    zero-width range pins ``Δx = 0``.  The rows are appended to ``rows``
+    for the caller to flush.
+
+    Returns:
+        The distance variable ``Δx``.
+    """
     if dy_lb > dy_ub:
         raise ValueError(f"invalid Δy bounds [{dy_lb}, {dy_ub}]")
     l, u = eq6_bounds(dy_lb, dy_ub)
@@ -176,9 +125,9 @@ def couple_triangle_rows(
 ) -> None:
     """Triangle rows on the implicit second copy ``x̂ = x + Δx``.
 
-    Block-assembly twin of the interleaving encoder's second-copy
-    coupling: constrains ``x + Δx`` against ``y + Δy`` with the Eq. 4
-    triangle over the hat bounds ``[lb, ub]``.
+    The interleaving encoder's second-copy coupling: constrains
+    ``x + Δx`` against ``y + Δy`` with the Eq. 4 triangle over the hat
+    bounds ``[lb, ub]``.
     """
     if ub <= 0.0:
         rows.add([x.index, dx.index], [1.0, 1.0], Sense.EQ, 0.0)

@@ -2,13 +2,9 @@
 
 Pre-activations are model *variables*: each layer appends free variables
 ``y(i)`` tied to the previous layer by one equality block
-``y − W x = b``.  By default that block (and the per-neuron ReLU rows)
-is emitted array-natively — COO triplets straight from the layer's
-weight matrix, one :meth:`~repro.milp.model.Model.add_linear_rows` call
-per layer (see :mod:`repro.encoding.assembly`).  ``vectorized=False``
-builds the identical formulation through dict-based expression
-arithmetic, one constraint at a time; it exists as the reference for
-equivalence tests and the construction benchmark.
+``y − W x = b``, emitted as COO triplets straight from the layer's
+weight matrix; the per-neuron ReLU rows follow as one block per layer
+(see :mod:`repro.encoding.assembly`).
 """
 
 from __future__ import annotations
@@ -20,9 +16,9 @@ import numpy as np
 
 from repro.bounds.interval import Box
 from repro.bounds.propagator import BoundPropagator, get_propagator
-from repro.encoding.assembly import RowBlockBuilder, affine_link_rows, row_dot
-from repro.encoding.bigm import encode_relu_exact, relu_exact_rows
-from repro.encoding.relaxation import encode_relu_triangle, relu_triangle_rows
+from repro.encoding.assembly import RowBlockBuilder, affine_link_rows
+from repro.encoding.bigm import relu_exact_rows
+from repro.encoding.relaxation import relu_triangle_rows
 from repro.milp import Model, Var
 from repro.nn.affine import AffineLayer
 
@@ -68,7 +64,6 @@ def encode_single_network(
     pre_act_bounds: list[Box] | None = None,
     model: Model | None = None,
     prefix: str = "n",
-    vectorized: bool = True,
     bounds: str | BoundPropagator = "ibp",
 ) -> SingleEncoding:
     """Encode ``F(x)`` over ``input_box`` into a MILP.
@@ -83,9 +78,6 @@ def encode_single_network(
             the ``bounds`` propagator when omitted.
         model: Existing model to extend (used by the twin encoders).
         prefix: Variable-name prefix.
-        vectorized: Emit per-layer constraint blocks (default).  False
-            assembles the same formulation per neuron via expression
-            dicts (reference path, much slower on wide layers).
         bounds: Bound propagator seeding the big-M / relaxation ranges
             (``"ibp"`` or ``"symbolic"``); ignored when explicit
             ``pre_act_bounds`` are given.
@@ -109,40 +101,27 @@ def encode_single_network(
         y_vars = model.add_vars_array(
             layer.out_dim, lb=-math.inf, ub=math.inf, prefix=f"{prefix}.y{i}"
         )
-        rows: RowBlockBuilder | None = None
-        if vectorized:
-            affine_link_rows(
-                model, y_vars, layer.weight, current, layer.bias,
-                name=f"{prefix}.l{i}.link",
-            )
-            rows = RowBlockBuilder()
-        else:
-            for j, y_var in enumerate(y_vars):
-                model.add_constr(
-                    y_var == row_dot(layer.weight[j], current, float(layer.bias[j]))
-                )
-
+        affine_link_rows(
+            model, y_vars, layer.weight, current, layer.bias,
+            name=f"{prefix}.l{i}.link",
+        )
         if not layer.relu:
             x_handles: list[Var] = list(y_vars)
         else:
+            rows = RowBlockBuilder()
             x_handles = []
             for j, y_var in enumerate(y_vars):
                 lb, ub = y_bounds.scalar(j)
                 tag = f"{prefix}.l{i}n{j}"
                 relaxed = mask is not None and bool(mask[j])
                 n_before = model.num_vars
-                if rows is not None:
-                    emit = relu_triangle_rows if relaxed else relu_exact_rows
-                    x_handles.append(emit(model, rows, y_var, lb, ub, name=tag))
-                else:
-                    build = encode_relu_triangle if relaxed else encode_relu_exact
-                    x_handles.append(build(model, y_var, lb, ub, name=tag))
+                emit = relu_triangle_rows if relaxed else relu_exact_rows
+                x_handles.append(emit(model, rows, y_var, lb, ub, name=tag))
                 # Unstable big-M neurons create (x, z); everything else
                 # creates x only — so the indicator exists iff two vars
                 # were appended, and it directly follows x.
                 z_index = n_before + 1 if model.num_vars - n_before == 2 else None
                 enc.relu_vars[(i, j)] = (y_var.index, x_handles[-1].index, z_index)
-        if rows is not None:
             rows.flush(model, name=f"{prefix}.l{i}.relu")
         enc.y.append(list(y_vars))
         enc.x.append(x_handles)

@@ -189,8 +189,8 @@ class LinExpr:
     ) -> "LinExpr":
         """Build ``sum w_j * v_j + constant`` in one pass.
 
-        This is the hot path used by the network encoders; it avoids the
-        quadratic blow-up of repeated ``+`` on growing expressions.
+        Avoids the quadratic blow-up of repeated ``+`` on growing
+        expressions.  Exactly-zero weights are dropped.
         """
         coeffs: dict[int, float] = {}
         vars_map: dict[int, Var] = {}

@@ -14,7 +14,7 @@ import itertools
 import math
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -651,8 +651,11 @@ class BatchCertifier:
         ):
             # A batch of one split query runs inline; hand the engine's
             # process budget to its leaf MILPs instead so the pool still
-            # does the parallel work.
-            pending[0][1].split_workers = self.max_workers or available_cpus()
+            # does the parallel work.  A copy carries the grant: the
+            # caller's query is left as given.
+            index, query = pending[0]
+            budget = self.max_workers or available_cpus()
+            pending = [(index, replace(query, split_workers=budget))]
         for result in self._dispatch(pending, workers, progress, total, done):
             results[result.index] = result
         return [r for r in results if r is not None]  # every slot filled

@@ -1,4 +1,4 @@
-"""Exactness/soundness of big-M, triangle, and distance encodings."""
+"""Exactness/soundness of big-M, triangle, distance and coupling encodings."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.encoding import (
-    encode_distance_relaxed,
-    encode_relu_exact,
-    encode_relu_triangle,
+    RowBlockBuilder,
+    couple_triangle_rows,
+    distance_relaxed_rows,
     eq4_score,
     eq6_bounds,
     eq6_score,
+    relu_exact_rows,
+    relu_triangle_rows,
 )
 from repro.milp import Model
+
+
+def emit(emitter, model, handle, lb, ub, **kwargs):
+    """Run one row emitter on ``model`` and flush its rows at once."""
+    rows = RowBlockBuilder()
+    out = emitter(model, rows, handle, lb, ub, **kwargs)
+    rows.flush(model)
+    return out
 
 
 class TestBigM:
@@ -24,7 +34,7 @@ class TestBigM:
             m = Model()
             y = m.add_var(lb=lb, ub=ub)
             m.add_constr(y == float(y_val))
-            x = encode_relu_exact(m, y, lb, ub)
+            x = emit(relu_exact_rows, m, y, lb, ub)
             for sense in ("max", "min"):
                 m.set_objective(x, sense=sense)
                 r = m.solve().require_optimal()
@@ -33,14 +43,14 @@ class TestBigM:
     def test_stable_inactive(self):
         m = Model()
         y = m.add_var(lb=-3, ub=-1)
-        x = encode_relu_exact(m, y, -3, -1)
+        x = emit(relu_exact_rows, m, y, -3, -1)
         assert (x.lb, x.ub) == (0.0, 0.0)
         assert m.num_binary == 0
 
     def test_stable_active(self):
         m = Model()
         y = m.add_var(lb=1, ub=2)
-        x = encode_relu_exact(m, y, 1, 2)
+        x = emit(relu_exact_rows, m, y, 1, 2)
         m.set_objective(x - y, sense="max")
         assert m.solve().objective == pytest.approx(0.0)
         assert m.num_binary == 0
@@ -49,12 +59,12 @@ class TestBigM:
         m = Model()
         y = m.add_var(lb=0, ub=1)
         with pytest.raises(ValueError):
-            encode_relu_exact(m, y, 2.0, 1.0)
+            emit(relu_exact_rows, m, y, 2.0, 1.0)
 
     def test_binary_count(self):
         m = Model()
         y = m.add_var(lb=-1, ub=1)
-        encode_relu_exact(m, y, -1, 1)
+        emit(relu_exact_rows, m, y, -1, 1)
         assert m.num_binary == 1
 
 
@@ -66,8 +76,8 @@ class TestTriangle:
             m = Model()
             y = m.add_var(lb=lb, ub=ub)
             m.add_constr(y == float(y_val))
-            x = encode_relu_exact(m, y, lb, ub)  # exact point
-            x_rel = encode_relu_triangle(m, y, lb, ub, name="rel")
+            x = emit(relu_exact_rows, m, y, lb, ub)  # exact point
+            x_rel = emit(relu_triangle_rows, m, y, lb, ub, name="rel")
             m.add_constr(x_rel == max(y_val, 0.0))
             m.set_objective(x, sense="max")
             assert m.solve().is_optimal  # feasible -> graph included
@@ -76,7 +86,7 @@ class TestTriangle:
         lb, ub = -1.0, 2.0
         m = Model()
         y = m.add_var(lb=lb, ub=ub)
-        x = encode_relu_triangle(m, y, lb, ub)
+        x = emit(relu_triangle_rows, m, y, lb, ub)
         m.set_objective(x - y, sense="max")
         relaxed = m.solve().objective
         # Exact max of relu(y)-y is -lb = 1; triangle can only be >= that.
@@ -85,7 +95,7 @@ class TestTriangle:
     def test_no_binaries(self):
         m = Model()
         y = m.add_var(lb=-1, ub=1)
-        encode_relu_triangle(m, y, -1, 1)
+        emit(relu_triangle_rows, m, y, -1, 1)
         assert m.num_binary == 0
 
     def test_upper_chord(self):
@@ -94,7 +104,7 @@ class TestTriangle:
         m = Model()
         y = m.add_var(lb=lb, ub=ub)
         m.add_constr(y == ub)
-        x = encode_relu_triangle(m, y, lb, ub)
+        x = emit(relu_triangle_rows, m, y, lb, ub)
         m.set_objective(x, sense="max")
         assert m.solve().objective == pytest.approx(ub)
 
@@ -111,7 +121,7 @@ class TestDistanceRelaxation:
         m = Model()
         dy_var = m.add_var(lb=dy_lo, ub=dy_hi)
         m.add_constr(dy_var == dy)
-        dx = encode_distance_relaxed(m, dy_var, dy_lo, dy_hi)
+        dx = emit(distance_relaxed_rows, m, dy_var, dy_lo, dy_hi)
         m.add_constr(dx == dx_true)
         m.set_objective(dx, sense="max")
         assert m.solve().is_optimal
@@ -121,7 +131,7 @@ class TestDistanceRelaxation:
         l, u = eq6_bounds(dy_lo, dy_hi)
         m = Model()
         dy = m.add_var(lb=dy_lo, ub=dy_hi)
-        dx = encode_distance_relaxed(m, dy, dy_lo, dy_hi)
+        dx = emit(distance_relaxed_rows, m, dy, dy_lo, dy_hi)
         m.set_objective(dx, sense="max")
         assert m.solve().objective == pytest.approx(u, abs=1e-9)
         m.set_objective(dx, sense="min")
@@ -131,7 +141,7 @@ class TestDistanceRelaxation:
         # Δy >= 0 everywhere: 0 <= Δx <= Δy.
         m = Model()
         dy = m.add_var(lb=0.1, ub=0.5)
-        dx = encode_distance_relaxed(m, dy, 0.1, 0.5)
+        dx = emit(distance_relaxed_rows, m, dy, 0.1, 0.5)
         m.set_objective(dx - dy, sense="max")
         assert m.solve().objective == pytest.approx(0.0, abs=1e-9)
         m.set_objective(dx, sense="min")
@@ -140,14 +150,38 @@ class TestDistanceRelaxation:
     def test_zero_width_pins_zero(self):
         m = Model()
         dy = m.add_var(lb=0.0, ub=0.0)
-        dx = encode_distance_relaxed(m, dy, 0.0, 0.0)
+        dx = emit(distance_relaxed_rows, m, dy, 0.0, 0.0)
         assert (dx.lb, dx.ub) == (0.0, 0.0)
 
     def test_invalid_bounds(self):
         m = Model()
         dy = m.add_var()
         with pytest.raises(ValueError):
-            encode_distance_relaxed(m, dy, 0.5, -0.5)
+            emit(distance_relaxed_rows, m, dy, 0.5, -0.5)
+
+
+class TestSecondCopyCoupling:
+    @given(
+        st.floats(-2, 2), st.floats(-2, 2), st.floats(-3, 3), st.floats(0, 1)
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_contains_true_second_copy(self, a, b, y, t):
+        """Each true (y, Δy, x=relu(y), Δx) with y+Δy in the hat bounds
+        satisfies the Eq. 4 triangle on x̂ = x + Δx."""
+        lb, ub = min(a, b), max(a, b)
+        dy = lb + t * (ub - lb) - y
+        x_true = max(y, 0.0)
+        dx_true = max(y + dy, 0.0) - x_true
+        m = Model()
+        y_var = m.add_var(lb=y, ub=y)
+        dy_var = m.add_var(lb=dy, ub=dy)
+        x_var = m.add_var(lb=x_true, ub=x_true)
+        dx_var = m.add_var(lb=dx_true, ub=dx_true)
+        rows = RowBlockBuilder()
+        couple_triangle_rows(rows, x_var, dx_var, y_var, dy_var, lb, ub)
+        rows.flush(m)
+        m.set_objective(dx_var, sense="max")
+        assert m.solve().is_optimal
 
 
 class TestScores:

@@ -204,3 +204,13 @@ class TestRelaxedItne:
         layers = paper_example()
         with pytest.raises(ValueError):
             encode_itne(layers, Box.uniform(2, -1, 1), Box.uniform(3, -0.1, 0.1))
+
+
+@pytest.mark.parametrize("encode", [encode_itne, encode_btne])
+@pytest.mark.parametrize("delta_dim", [2, 4])
+def test_delta_box_dimension_checked(encode, delta_dim):
+    """A perturbation box of the wrong dimension is rejected by both
+    twin encoders, neither silently truncated nor an ``IndexError``."""
+    layers = random_chain(np.random.default_rng(2), in_dim=3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        encode(layers, Box.uniform(3, 0.0, 1.0), Box.uniform(delta_dim, -0.1, 0.1))

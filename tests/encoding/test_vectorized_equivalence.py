@@ -1,6 +1,6 @@
-"""Vectorized (block) encoders vs the per-neuron reference assembly.
+"""Block-assembled encoders vs the per-neuron reference in ``_reference``.
 
-Both paths must produce the *same formulation*: identical variables (in
+Both must produce the *same formulation*: identical variables (in
 creation order) and identical constraint coefficients.  Constraint rows
 may land in a different order (blocks vs one-at-a-time appends), so the
 standard-form matrices are compared after a canonical row sort — the
@@ -14,6 +14,7 @@ from repro.bounds import Box
 from repro.encoding import encode_btne, encode_itne, encode_single_network
 from repro.milp.expr import as_expr
 from repro.nn.affine import AffineLayer
+from tests.encoding._reference import reference_btne, reference_itne, reference_single
 
 
 def random_chain(rng, depth=3, width=5, in_dim=3, out_dim=2):
@@ -66,30 +67,30 @@ def box():
 class TestMatrixEquivalence:
     def test_single_exact(self, chain, box):
         assert_same_formulation(
-            encode_single_network(chain, box, vectorized=True).model,
-            encode_single_network(chain, box, vectorized=False).model,
+            encode_single_network(chain, box).model,
+            reference_single(chain, box).model,
         )
 
     def test_single_mixed_relaxation(self, chain, box):
         rng = np.random.default_rng(3)
         mask = [rng.random(l.out_dim) < 0.5 for l in chain]
         assert_same_formulation(
-            encode_single_network(chain, box, relax_mask=mask, vectorized=True).model,
-            encode_single_network(chain, box, relax_mask=mask, vectorized=False).model,
+            encode_single_network(chain, box, relax_mask=mask).model,
+            reference_single(chain, box, relax_mask=mask).model,
         )
 
     def test_itne_exact(self, chain, box):
         assert_same_formulation(
-            encode_itne(chain, box, 0.05, vectorized=True).model,
-            encode_itne(chain, box, 0.05, vectorized=False).model,
+            encode_itne(chain, box, 0.05).model,
+            reference_itne(chain, box, 0.05).model,
         )
 
     def test_itne_partial_refinement(self, chain, box):
         rng = np.random.default_rng(5)
         mask = [rng.random(l.out_dim) < 0.5 for l in chain]
         assert_same_formulation(
-            encode_itne(chain, box, 0.05, refine_mask=mask, vectorized=True).model,
-            encode_itne(chain, box, 0.05, refine_mask=mask, vectorized=False).model,
+            encode_itne(chain, box, 0.05, refine_mask=mask).model,
+            reference_itne(chain, box, 0.05, refine_mask=mask).model,
         )
 
     def test_itne_pure_lp(self, chain, box):
@@ -97,25 +98,23 @@ class TestMatrixEquivalence:
         for couple in (True, False):
             assert_same_formulation(
                 encode_itne(
-                    chain, box, 0.05, refine_mask=mask,
-                    couple_second_copy=couple, vectorized=True,
+                    chain, box, 0.05, refine_mask=mask, couple_second_copy=couple,
                 ).model,
-                encode_itne(
-                    chain, box, 0.05, refine_mask=mask,
-                    couple_second_copy=couple, vectorized=False,
+                reference_itne(
+                    chain, box, 0.05, refine_mask=mask, couple_second_copy=couple,
                 ).model,
             )
 
     def test_itne_no_clip(self, chain, box):
         assert_same_formulation(
-            encode_itne(chain, box, 0.05, clip_second_input=False, vectorized=True).model,
-            encode_itne(chain, box, 0.05, clip_second_input=False, vectorized=False).model,
+            encode_itne(chain, box, 0.05, clip_second_input=False).model,
+            reference_itne(chain, box, 0.05, clip_second_input=False).model,
         )
 
     def test_btne(self, chain, box):
         assert_same_formulation(
-            encode_btne(chain, box, 0.05, vectorized=True).model,
-            encode_btne(chain, box, 0.05, vectorized=False).model,
+            encode_btne(chain, box, 0.05).model,
+            reference_btne(chain, box, 0.05).model,
         )
 
     def test_many_seeds_itne(self, box):
@@ -124,24 +123,24 @@ class TestMatrixEquivalence:
             chain = random_chain(rng, depth=2 + seed % 2, width=4)
             mask = [rng.random(l.out_dim) < 0.4 for l in chain]
             assert_same_formulation(
-                encode_itne(chain, box, 0.03, refine_mask=mask, vectorized=True).model,
-                encode_itne(chain, box, 0.03, refine_mask=mask, vectorized=False).model,
+                encode_itne(chain, box, 0.03, refine_mask=mask).model,
+                reference_itne(chain, box, 0.03, refine_mask=mask).model,
             )
 
 
 class TestSolveEquivalence:
     def test_itne_optima_agree(self, chain, box):
         hi = []
-        for vectorized in (True, False):
-            enc = encode_itne(chain, box, 0.05, vectorized=vectorized)
+        for encode in (encode_itne, reference_itne):
+            enc = encode(chain, box, 0.05)
             enc.model.set_objective(as_expr(enc.output_distance[0]), sense="max")
             hi.append(enc.model.solve().require_optimal().objective)
         assert hi[0] == pytest.approx(hi[1], abs=1e-7)
 
     def test_single_optima_agree(self, chain, box):
         vals = []
-        for vectorized in (True, False):
-            enc = encode_single_network(chain, box, vectorized=vectorized)
+        for encode in (encode_single_network, reference_single):
+            enc = encode(chain, box)
             enc.model.set_objective(as_expr(enc.output[0]), sense="min")
             vals.append(enc.model.solve().require_optimal().objective)
         assert vals[0] == pytest.approx(vals[1], abs=1e-7)

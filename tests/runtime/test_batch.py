@@ -12,6 +12,7 @@ from repro.certify import (
     certify_local_nd,
 )
 from repro.nn.affine import AffineLayer
+from repro.runtime import batch as batch_module
 from repro.runtime import (
     BatchCertifier,
     CertificationQuery,
@@ -254,7 +255,17 @@ class TestPresolveTier:
             assert cert.method == "split"
             assert cert.detail["verdict"] == expected
 
-    def test_split_single_query_granted_leaf_workers(self, layers):
+    def test_split_single_query_granted_leaf_workers(self, layers, monkeypatch):
+        """The pool budget moves to the leaves on a copy of the query;
+        the caller's query is not written to."""
+        granted = []
+        run_split = batch_module._run_split
+
+        def spy(query):
+            granted.append(query.split_workers)
+            return run_split(query)
+
+        monkeypatch.setattr(batch_module, "_run_split", spy)
         box = Box.uniform(3, 0.0, 1.0)
         query = global_query(
             layers, box, 0.05, exact=True, epsilon=0.05, split=True,
@@ -263,7 +274,8 @@ class TestPresolveTier:
         results = BatchCertifier(max_workers=2).run([query])
         assert results[0].ok
         assert results[0].certificate.method == "split"
-        assert query.split_workers == 2  # the pool budget moved to leaves
+        assert granted == [2]
+        assert query.split_workers is None
 
     def test_effective_bounds_resolution(self, layers, centers):
         """Explicit bounds win; the None default resolves per tier."""

@@ -9,6 +9,7 @@ import pytest
 from repro.bounds import Box
 from repro.nn.affine import AffineLayer
 from repro.runtime import BatchCertifier, faults, global_query
+from repro.runtime import batch as batch_module
 from repro.runtime.executor import (
     STAT_KEYS,
     SupervisedMap,
@@ -81,8 +82,17 @@ class TestAvailableCpus:
             layers, Box.uniform(3, 0.0, 1.0), 0.05, exact=True, epsilon=0.05,
             split=True, presolve=False,
         )
+        granted = []
+        run_split = batch_module._run_split
+
+        def spy(query):
+            granted.append(query.split_workers)
+            return run_split(query)
+
+        monkeypatch.setattr(batch_module, "_run_split", spy)
         assert BatchCertifier().run([query])[0].ok
-        assert query.split_workers == 1
+        assert granted == [1]
+        assert query.split_workers is None
 
 
 @pytest.mark.parametrize("workers", [None, 2])
