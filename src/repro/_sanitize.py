@@ -23,7 +23,11 @@ Contracts wired in today:
 * **batched row agreement** — a sampled query row of a batched
   ``propagate_many`` result agrees with that query propagated alone,
   i.e. a row does not depend on the batch size
-  (:mod:`repro.bounds.propagator`).
+  (:mod:`repro.bounds.propagator`);
+* **twin symmetry** — the solves Algorithm 1 skips would have returned
+  what it wrote instead: per layer, the skipped ``min Δy`` of one
+  neuron equals ``−max Δy``, and one neuron of a depth-1 sub-network
+  matches its LP optimum (:mod:`repro.certify.global_cert`).
 
 Violations raise :class:`SanitizerError` (an ``AssertionError``
 subclass: a sanitizer failure is a bug in this codebase, never a user
@@ -227,3 +231,31 @@ def check_basis(
         if int(entry) in seen:
             _fail("warm-basis", f"{what}: duplicate basis column {entry}")
         seen.add(int(entry))
+
+
+def check_twin_symmetry(
+    solved: Sequence[float | None],
+    derived: Sequence[float],
+    what: str,
+    rtol: float = 1e-6,
+    atol: float = 1e-9,
+) -> None:
+    """A skipped solve, run anyway, must agree with the value used instead.
+
+    Algorithm 1 writes some ranges without solving: a depth-1
+    sub-network's LP optimum is interval arithmetic, and over the
+    swap-symmetric pair set ``min Δy = −max Δy``.  A derived value
+    looser than the solve loses tightness; a tighter one is unsound.
+    ``None`` (a solve with no usable bound) never agrees.
+    """
+    left = np.array(solved, dtype=float)
+    right = np.asarray(derived, dtype=float)
+    scale = np.maximum(np.abs(left), np.abs(right))
+    agree = np.abs(left - right) <= atol + rtol * scale
+    if not bool(np.all(agree)):
+        bad = np.flatnonzero(~agree)[:5]
+        _fail(
+            "twin-symmetry",
+            f"{what}: solved {left[bad].tolist()} but derived "
+            f"{right[bad].tolist()}",
+        )

@@ -14,24 +14,27 @@ Combines the three ingredients of the paper:
   neurons, which keep exact big-M encodings.
 
 The result is a sound, deterministic over-approximation ``ε̄ ≥ ε`` whose
-cost grows polynomially with network size (one small LP/MILP per neuron)
-instead of exponentially.
+cost grows polynomially with network size (three small LP/MILPs per
+neuron; a depth-1 sub-network is answered in closed form) instead of
+exponentially.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import _sanitize
 from repro.bounds.interval import Box
 from repro.bounds.ranges import RangeTable
 from repro.bounds.twin_ibp import relu_distance_interval
 from repro.certify.decomposition import decompose, subnetwork_ranges
 from repro.certify.refinement import select_refinement
 from repro.certify.results import GlobalCertificate
-from repro.encoding.itne import encode_itne
+from repro.encoding.itne import ItneEncoding, encode_itne
 from repro.milp.expr import as_expr
 from repro.nn.affine import AffineLayer
 from repro.nn.network import Network
@@ -119,11 +122,16 @@ class GlobalRobustnessCertifier:
 
         for i in range(1, len(self.layers) + 1):
             layer = self.layers[i - 1]
-            solves, used_binaries = self._tighten_layer(table, i)
-            if used_binaries:
-                milp_count += solves
+            if min(i, cfg.window) <= 1:
+                # A single affine map: no model is built or solved.
+                self._closed_form_layer(table, i)
+                solves = 0
             else:
-                lp_count += solves
+                solves, used_binaries = self._tighten_layer(table, i)
+                if used_binaries:
+                    milp_count += solves
+                else:
+                    lp_count += solves
             self._finalize_layer(table, i, layer)
             if cfg.verbose:
                 rec = table.layer(i)
@@ -159,12 +167,25 @@ class GlobalRobustnessCertifier:
             tag += f"-{self.config.bounds}"
         return tag
 
+    def _closed_form_layer(self, table: RangeTable, i: int) -> None:
+        """LpRelaxY for a depth-1 sub-network, answered without a solve."""
+        src = table.layer(i - 1)
+        y, dy = affine_lp_ranges(self.layers[i - 1], src.x, src.dx)
+        if _sanitize.ENABLED:
+            self._check_closed_form(table, i, y, dy)
+        rec = table.layer(i)
+        rec.y = _intersect(rec.y, y.lo, y.hi)
+        rec.dy = _mirror(_intersect(rec.dy, dy.lo, dy.hi))
+
     def _tighten_layer(self, table: RangeTable, i: int) -> tuple[int, bool]:
         """LpRelaxY for every neuron of layer ``i`` (batched).
 
         Encodes one depth-``w`` sub-network whose output is the whole
         pre-activation layer ``y(i)`` and solves min/max of ``y_j`` and
-        ``Δy_j`` for each neuron, updating the table in place.
+        max of ``Δy_j`` for each neuron — three objectives, not four:
+        the pair set is swap-symmetric, so ``min Δy_j = −max Δy_j`` and
+        the lower end comes from :func:`_mirror`.  Updates the table in
+        place.
 
         Returns:
             ``(num_solves, used_binaries)``.
@@ -191,9 +212,8 @@ class GlobalRobustnessCertifier:
         objectives = []
         for j in range(m_i):
             y_expr = as_expr(enc.y[-1][j])
-            dy_expr = as_expr(enc.dy[-1][j])
             objectives.extend(
-                [(y_expr, "min"), (y_expr, "max"), (dy_expr, "min"), (dy_expr, "max")]
+                [(y_expr, "min"), (y_expr, "max"), (as_expr(enc.dy[-1][j]), "max")]
             )
         time_limit = cfg.milp_time_limit if used_binaries else cfg.lp_time_limit
         if cfg.workers > 1:
@@ -208,39 +228,24 @@ class GlobalRobustnessCertifier:
             )
         else:
             # Serial path: one SolverSession per sub-network — the
-            # export is cached once for all 4·m_i objective solves.
+            # export is cached once for all 3·m_i objective solves.
             from repro.milp.session import solve_objectives
 
             results = solve_objectives(
                 enc.model, objectives, backend=cfg.backend, time_limit=time_limit
             )
 
+        # Intersect with the (sound) table values so bounds never
+        # loosen, using each solve's *dual bound* — sound even when a
+        # refined MILP stopped at a gap or time limit.  A solve with no
+        # usable bound (None, read as NaN) leaves the table value.
+        sound = np.array([r.sound_bound() for r in results], dtype=float)
+        y_lo, y_hi, dy_hi = sound.reshape(m_i, 3).T
+        if _sanitize.ENABLED:
+            self._check_mirror(enc, results, dy_hi, i, time_limit)
         rec = table.layer(i)
-        for j in range(m_i):
-            r_ylo, r_yhi, r_dlo, r_dhi = results[4 * j : 4 * j + 4]
-            # Intersect with the (sound) interval values so bounds never
-            # loosen, using each solve's *dual bound* — sound even when a
-            # refined MILP stopped at a gap or time limit.  Solves with
-            # no usable bound fall back to the interval value.
-            y_lo, y_hi = rec.y.scalar(j)
-            dy_lo, dy_hi = rec.dy.scalar(j)
-            lo_c = r_ylo.sound_bound()
-            hi_c = r_yhi.sound_bound()
-            if lo_c is not None:
-                y_lo = max(y_lo, lo_c)
-            if hi_c is not None:
-                y_hi = min(y_hi, hi_c)
-            lo_c = r_dlo.sound_bound()
-            hi_c = r_dhi.sound_bound()
-            if lo_c is not None:
-                dy_lo = max(dy_lo, lo_c)
-            if hi_c is not None:
-                dy_hi = min(dy_hi, hi_c)
-            rec.set_neuron(
-                j,
-                y=(min(y_lo, y_hi), max(y_lo, y_hi)),
-                dy=(min(dy_lo, dy_hi), max(dy_lo, dy_hi)),
-            )
+        rec.y = _intersect(rec.y, y_lo, y_hi)
+        rec.dy = _mirror(_intersect(rec.dy, -math.inf, dy_hi))
         return len(objectives), used_binaries
 
     @staticmethod
@@ -252,20 +257,129 @@ class GlobalRobustnessCertifier:
         ``y``/``Δy`` extremes (the relaxation hulls are tight at their
         corners), so this evaluates those images directly — including
         the exact-case intersection used by twin IBP — instead of
-        re-solving LPs.
+        re-solving LPs.  Each ``Δx`` box is then narrowed to
+        ``[max(lo, −hi), min(hi, −lo)]`` by :func:`_mirror`; that keeps
+        the next layer's relaxation swap-symmetric.
         """
         rec = table.layer(i)
         if layer.relu:
-            x_box = rec.y.relu()
+            rec.x = rec.y.relu()
             dx_box = relu_distance_interval(rec.y, rec.dy)
         else:
-            x_box = Box(rec.y.lo.copy(), rec.y.hi.copy())
-            dx_box = Box(rec.dy.lo.copy(), rec.dy.hi.copy())
-        for j in range(rec.x.dim):
-            rec.set_neuron(
-                j,
-                x=(float(x_box.lo[j]), float(x_box.hi[j])),
-                dx=(float(dx_box.lo[j]), float(dx_box.hi[j])),
-            )
+            rec.x = Box(rec.y.lo, rec.y.hi)
+            dx_box = rec.dy
+        rec.dx = _mirror(dx_box)
+
+    # -- sanitizer contract twin-symmetry ---------------------------------------
+
+    def _check_closed_form(self, table: RangeTable, i: int, y: Box, dy: Box) -> None:
+        """One closed-form neuron of layer ``i`` equals its LP optimum."""
+        from repro.milp.session import solve_objectives
+
+        j = int(np.argmax(dy.hi - dy.lo))
+        sub = decompose(self.layers, i, 1, output_relu=False, neuron=j)
+        src = table.layer(i - 1)
+        enc = encode_itne(
+            sub.layers,
+            Box(src.x.lo, src.x.hi),
+            Box(src.dx.lo, src.dx.hi),
+            ranges=subnetwork_ranges(table, sub, neuron=j),
+            clip_second_input=True,
+        )
+        y_expr, dy_expr = as_expr(enc.y[0][0]), as_expr(enc.dy[0][0])
+        results = solve_objectives(
+            enc.model,
+            [(y_expr, "min"), (y_expr, "max"), (dy_expr, "min"), (dy_expr, "max")],
+            backend=self.config.backend,
+        )
+        _sanitize.check_twin_symmetry(
+            [r.sound_bound() for r in results],
+            [y.lo[j], y.hi[j], dy.lo[j], dy.hi[j]],
+            f"layer {i} neuron {j}: LP optimum vs closed form",
+        )
+
+    def _check_mirror(
+        self,
+        enc: ItneEncoding,
+        results: list,
+        dy_hi: np.ndarray,
+        i: int,
+        time_limit: float | None,
+    ) -> None:
+        """The skipped ``min Δy`` of layer ``i``'s widest neuron is ``−max Δy``.
+
+        Checked only where the relaxation itself is swap-symmetric (the
+        second copy coupled) and both solves proved optimality.
+        """
+        if not self.config.couple_second_copy:
+            return
+        from repro.milp.session import solve_objectives
+
+        j = int(np.argmax(np.nan_to_num(dy_hi, nan=-math.inf)))
+        (low,) = solve_objectives(
+            enc.model,
+            [(as_expr(enc.dy[-1][j]), "min")],
+            backend=self.config.backend,
+            time_limit=time_limit,
+        )
+        if not (low.is_optimal and results[3 * j + 2].is_optimal):
+            return
+        mip = enc.model.num_binary > 0
+        _sanitize.check_twin_symmetry(
+            [low.sound_bound()],
+            [-dy_hi[j]],
+            f"layer {i} neuron {j}: min Δy vs −max Δy",
+            # A MILP stops within HiGHS's relative (1e-4) and absolute
+            # (1e-6) gaps, on each side.
+            rtol=3e-4 if mip else 1e-6,
+            atol=3e-6 if mip else 1e-9,
+        )
 
 
+def affine_lp_ranges(layer: AffineLayer, x_box: Box, dx_box: Box) -> tuple[Box, Box]:
+    """LP optima of ``y = W x + b`` and ``Δy = W Δx`` over a clipped twin box.
+
+    The feasible set is ``x ∈ x_box``, ``Δx ∈ dx_box`` and the clip
+    ``x + Δx ∈ x_box`` (``encode_itne(..., clip_second_input=True)`` of
+    the single layer, ReLU stripped).  Each constraint couples one input
+    coordinate with its own distance only, so the set's projections are
+    boxes and the LP optimum of every ``y_j``/``Δy_j`` objective is
+    interval arithmetic over them (Gowal et al., 2018): ``x`` ranges
+    over ``[max(lo, lo − Δx̅), min(hi, hi − Δx̲)]`` and ``Δx`` over
+    ``[max(Δx̲, lo − hi), min(Δx̅, hi − lo)]``.
+
+    Returns:
+        ``(y_box, dy_box)``.
+    """
+    lo, hi = x_box.lo, x_box.hi
+    d_lo, d_hi = dx_box.lo, dx_box.hi
+    x_proj = Box(np.maximum(lo, lo - d_hi), np.minimum(hi, hi - d_lo))
+    d_proj = Box(np.maximum(d_lo, lo - hi), np.minimum(d_hi, hi - lo))
+    return x_proj.affine(layer.weight, layer.bias), d_proj.affine(layer.weight, 0.0)
+
+
+def _intersect(box: Box, lo: np.ndarray | float, hi: np.ndarray | float) -> Box:
+    """``box ∩ [lo, hi]``; an end crossing left by solver jitter is swapped.
+
+    A NaN end (a solve with no usable bound) keeps the box's value.
+    """
+    new_lo = np.fmax(box.lo, lo)
+    new_hi = np.fmin(box.hi, hi)
+    return Box(np.minimum(new_lo, new_hi), np.maximum(new_lo, new_hi))
+
+
+def _mirror(box: Box) -> Box:
+    """``box ∩ −box`` for a ``Δy``/``Δx`` range of Algorithm 1.
+
+    Algorithm 1 bounds distances over the pair set
+    ``{(x, x̂) : x, x̂ ∈ X, ‖x̂ − x‖∞ ≤ δ}``: both inputs lie in the
+    domain (``clip_second_input=True``) and the δ box is symmetric.
+    Swapping ``x`` and ``x̂`` leaves that set unchanged and negates
+    every distance, so each true distance range is symmetric about 0
+    and any sound range may be intersected with its mirror image.  The
+    result still holds 0 (the pair ``x̂ = x``).  The argument fails for
+    a split leaf's pair set (``clip_second_input=False``), which never
+    reaches this function.
+    """
+    radius = np.maximum(0.0, np.minimum(box.hi, -box.lo))
+    return Box(-radius, radius)

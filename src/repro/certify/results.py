@@ -25,7 +25,8 @@ class GlobalCertificate:
             "the verdict is decided": a ``method="split"`` certificate
             has ``exact=True`` iff its verdict is not ``"undecided"``.
         solve_time: Wall-clock seconds.
-        lp_count / milp_count: Number of LP / MILP solves performed.
+        lp_count / milp_count: Number of LP / MILP solves performed;
+            Algorithm 1's closed-form layers perform none.
         detail: Free-form extra data (per-layer ranges, gaps...); the
             ε-targeted tiers record their ``verdict`` here.
     """

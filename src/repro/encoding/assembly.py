@@ -109,7 +109,8 @@ def affine_link_rows(
         model: Target model.
         out_vars: The ``len(bias)`` freshly created output variables.
         weight: ``(len(out_vars), len(in_handles))`` matrix; zero
-            entries are skipped (matching ``LinExpr.weighted_sum``).
+            entries are skipped (as the per-neuron reference encoders
+            in the test suite skip them).
         in_handles: Previous-layer handles.
         bias: Right-hand-side vector (handle constants fold into it).
         name: Optional block label.

@@ -104,7 +104,8 @@ def encode_itne(
         delta: Perturbation: the L∞ bound δ (float) for the full
             network, or the propagated ``Δx(i−w)`` box for a sub-network.
         ranges: Per-layer ``y``/``Δy`` bounds used for big-M constants
-            and relaxations; computed by twin IBP when omitted.
+            and relaxations, valid for every input in ``input_box``;
+            computed by twin IBP when omitted.
         refine_mask: Per-layer boolean arrays; ``True`` = encode this
             neuron exactly (binaries), ``False`` = relax (Eq. 4 + Eq. 6).
             ``None`` refines every neuron (exact encoding).
@@ -113,7 +114,15 @@ def encode_itne(
             enabled by the interleaving variables).
         clip_second_input: Constrain ``x(0) + Δx(0)`` inside
             ``input_box`` (both inputs must lie in the domain, per
-            Definition 1).
+            Definition 1).  The second copy then has the first copy's
+            ranges: each ReLU layer also gets ``y̲ ≤ y + Δy ≤ y̅``, and
+            the second copy's ReLU encodings use the hat range
+            ``[max(y̲, y̲ + Δy̲), min(y̅, y̅ + Δy̅)]``.  With a symmetric
+            perturbation box this makes the relaxation invariant under
+            swapping the copies (``Δ → −Δ``), so ``min Δ = −max Δ`` for
+            every distance.  Without the clip the second input may leave
+            ``input_box``, the ``ranges`` need not hold for it, and the
+            hat range stays ``[y̲ + Δy̲, y̅ + Δy̅]``.
         model: Existing model to extend.
         prefix: Variable-name prefix.
         bounds: Bound propagator seeding the range table when ``ranges``
@@ -196,12 +205,20 @@ def encode_itne(
                 y_var, dy_var = y_vars[j], dy_vars[j]
                 y_lb, y_ub = layer_ranges.y.scalar(j)
                 dy_lb, dy_ub = layer_ranges.dy.scalar(j)
+                hat_lb, hat_ub = y_lb + dy_lb, y_ub + dy_ub
+                if clip_second_input:
+                    # Both inputs lie in input_box, so the second copy's
+                    # ŷ = y + Δy obeys the first copy's range too.
+                    pair = [y_var.index, dy_var.index]
+                    rows.add(pair, [1.0, 1.0], Sense.GE, y_lb)
+                    rows.add(pair, [1.0, 1.0], Sense.LE, y_ub)
+                    hat_lb, hat_ub = max(y_lb, hat_lb), min(y_ub, hat_ub)
                 tag = f"{prefix}.l{i}n{j}"
                 refine = True if mask is None else bool(mask[j])
                 if refine:
                     x_var = relu_exact_rows(model, rows, y_var, y_lb, y_ub, name=tag)
                     xhat_var = relu_exact_rows(
-                        model, rows, y_var + dy_var, y_lb + dy_lb, y_ub + dy_ub,
+                        model, rows, y_var + dy_var, hat_lb, hat_ub,
                         name=f"{tag}.hat",
                     )
                     x_list.append(x_var)
@@ -213,8 +230,7 @@ def encode_itne(
                     )
                     if couple_second_copy:
                         couple_triangle_rows(
-                            rows, x_var, dx_var, y_var, dy_var,
-                            y_lb + dy_lb, y_ub + dy_ub,
+                            rows, x_var, dx_var, y_var, dy_var, hat_lb, hat_ub
                         )
                     x_list.append(x_var)
                     dx_list.append(dx_var)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import TYPE_CHECKING, Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Mapping, Union
 
 from repro.tol import near_zero
 
@@ -179,33 +179,6 @@ class LinExpr:
     def constant_expr(cls, value: Number) -> "LinExpr":
         """An expression with no variables."""
         return cls({}, float(value))
-
-    @classmethod
-    def weighted_sum(
-        cls,
-        variables: Iterable[Var],
-        weights: Iterable[Number],
-        constant: Number = 0.0,
-    ) -> "LinExpr":
-        """Build ``sum w_j * v_j + constant`` in one pass.
-
-        Avoids the quadratic blow-up of repeated ``+`` on growing
-        expressions.  Exactly-zero weights are dropped.
-        """
-        coeffs: dict[int, float] = {}
-        vars_map: dict[int, Var] = {}
-        for var, weight in zip(variables, weights):
-            w = float(weight)
-            # repro-lint: ignore[RPR001] — structural sparsity pruning: only exactly-zero weights may be dropped; a tolerance here would change the model
-            if w == 0.0:
-                continue
-            idx = var.index
-            if idx in coeffs:
-                coeffs[idx] += w
-            else:
-                coeffs[idx] = w
-                vars_map[idx] = var
-        return cls(coeffs, float(constant), _vars=vars_map)
 
     def copy(self) -> "LinExpr":
         """Return an independent copy of this expression."""

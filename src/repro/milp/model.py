@@ -661,7 +661,7 @@ class Model:
         """Solve the same constraint system under several objectives.
 
         The constraint matrices are exported once and reused, which is
-        the hot path of Algorithm 1 (four objectives per neuron over one
+        the hot path of Algorithm 1 (three objectives per neuron over one
         sub-network encoding).
 
         Args:

@@ -2,7 +2,8 @@
 
 Certification workloads decompose into many *independent* solver-bound
 queries — one local certificate per data sample, one global certificate
-per model, four small LP/MILPs per neuron inside Algorithm 1's ND loop.
+per model, three small LP/MILPs per neuron inside Algorithm 1's ND loop
+(a layer whose sub-network is a single affine map takes none).
 This package fans those queries across worker processes, all through
 one supervised executor:
 

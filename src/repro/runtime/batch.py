@@ -849,8 +849,9 @@ def parallel_solve_many(
     each worker pickles the model once and runs the backend's
     export-once ``solve_objectives`` fast path on its chunk, so the
     per-objective cost stays identical to the serial path.  This is the
-    engine behind ``CertifierConfig.workers`` — Algorithm 1's four
-    min/max LPs per neuron of a layer are independent and fan perfectly.
+    engine behind ``CertifierConfig.workers`` — Algorithm 1's three
+    objectives per neuron of a layer (min/max ``y``, max ``Δy``) are
+    independent and fan perfectly.
     Chunks run on the package's one
     :class:`~repro.runtime.executor.SupervisedMap`: a chunk that fails
     transiently is re-solved in the calling process.

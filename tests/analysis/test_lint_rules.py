@@ -229,15 +229,18 @@ class TestWaivers:
 class TestSatelliteRegressions:
     """Reverting any satellite fix must make the lint exit non-zero."""
 
-    def test_expr_waiver_is_load_bearing(self):
-        with open("src/repro/milp/expr.py", encoding="utf-8") as handle:
+    def test_assembly_waiver_is_load_bearing(self):
+        # The exact-zero skip of the layer links: once waived in
+        # LinExpr.weighted_sum, now in affine_link_rows, the only
+        # assembly path of the encoders.
+        with open("src/repro/encoding/assembly.py", encoding="utf-8") as handle:
             source = handle.read()
         reverted = "\n".join(
             line
             for line in source.splitlines()
             if "repro-lint: ignore[RPR001]" not in line
         )
-        relpath = "src/repro/milp/expr.py"
+        relpath = "src/repro/encoding/assembly.py"
         assert "RPR001" in codes(lint_source(reverted, relpath, relpath))
 
     def test_layerbounds_copy_fix_is_load_bearing(self):

@@ -10,6 +10,7 @@ from repro._sanitize import (
     check_containment,
     check_finite,
     check_tiling,
+    check_twin_symmetry,
     sanitizing,
 )
 
@@ -135,6 +136,24 @@ class TestBasis:
             check_basis([0, 1, 1], num_rows=3, num_cols=6, what="dup")
 
 
+class TestTwinSymmetry:
+    def test_agreement_passes(self):
+        check_twin_symmetry([1.0, -2.0], [1.0 + 1e-12, -2.0], "ok")
+
+    def test_mismatch_fails(self):
+        with pytest.raises(SanitizerError, match="twin-symmetry"):
+            check_twin_symmetry([0.5], [0.4], "loose")
+
+    def test_missing_solve_bound_fails(self):
+        with pytest.raises(SanitizerError, match="twin-symmetry"):
+            check_twin_symmetry([None], [0.4], "no bound")
+
+    def test_tolerance_is_relative(self):
+        check_twin_symmetry([1000.0], [1000.0005], "wide", rtol=1e-6)
+        with pytest.raises(SanitizerError):
+            check_twin_symmetry([1000.0], [1000.01], "wide", rtol=1e-6)
+
+
 # -- hook-site integration ----------------------------------------------------
 
 
@@ -235,3 +254,60 @@ class TestHookSites:
                 second = session.solve()
         assert first.is_optimal and second.is_optimal
         assert second.objective == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("window,refine_count", [(1, 0), (2, 0), (2, 2)])
+    def test_twin_symmetry_hooks_pass_on_real_run(
+        self, monkeypatch, window, refine_count
+    ):
+        from repro.bounds import Box
+        from repro.certify import CertifierConfig, GlobalRobustnessCertifier
+
+        calls = []
+        check = _sanitize.check_twin_symmetry
+        monkeypatch.setattr(
+            _sanitize, "check_twin_symmetry",
+            lambda *args, **kw: calls.append(args[2]) or check(*args, **kw),
+        )
+        with sanitizing():
+            cert = GlobalRobustnessCertifier(
+                small_chain(seed=4),
+                CertifierConfig(window=window, refine_count=refine_count),
+            ).certify(Box.uniform(3, 0.0, 1.0), 0.05)
+        assert np.all(np.isfinite(cert.epsilons))
+        # One check per layer: a closed-form neuron or a mirrored min Δy.
+        assert len(calls) == 3
+        assert ("closed form" in calls[1]) == (window == 1)
+
+    def test_closed_form_hook_catches_drift(self, monkeypatch):
+        from repro.bounds import Box
+        from repro.certify import CertifierConfig, GlobalRobustnessCertifier, global_cert
+
+        exact = global_cert.affine_lp_ranges
+
+        def drifted(layer, x_box, dx_box):
+            y_box, dy_box = exact(layer, x_box, dx_box)
+            return Box(y_box.lo + 0.1, y_box.hi + 0.1), dy_box
+
+        monkeypatch.setattr(global_cert, "affine_lp_ranges", drifted)
+        certifier = GlobalRobustnessCertifier(small_chain(), CertifierConfig(window=2))
+        with sanitizing():
+            with pytest.raises(SanitizerError, match="twin-symmetry.*closed form"):
+                certifier.certify(Box.uniform(3, 0.0, 1.0), 0.05)
+
+    def test_mirror_hook_catches_asymmetric_relaxation(self, monkeypatch):
+        from repro.bounds import Box
+        from repro.certify import CertifierConfig, GlobalRobustnessCertifier, global_cert
+
+        encode = global_cert.encode_itne
+
+        def unclipped(*args, **kw):
+            # Drops the input clip and the second-copy range rows: the
+            # second input may leave the box, so the pair set is no
+            # longer swap-symmetric.
+            return encode(*args, **{**kw, "clip_second_input": False})
+
+        monkeypatch.setattr(global_cert, "encode_itne", unclipped)
+        certifier = GlobalRobustnessCertifier(small_chain(), CertifierConfig(window=2))
+        with sanitizing():
+            with pytest.raises(SanitizerError, match="twin-symmetry.*min Δy"):
+                certifier.certify(Box.uniform(3, 0.0, 1.0), 0.05)

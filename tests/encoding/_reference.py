@@ -11,7 +11,8 @@ same formulation built one constraint at a time through
 * the dict emitters — big-M (:func:`encode_relu_exact`), the Eq. 4
   triangle (:func:`encode_relu_triangle`), the Eq. 6 butterfly
   (:func:`encode_distance_relaxed`) and the ITNE second-copy coupling
-  (:func:`_couple_triangle`) — plus :func:`row_dot` for the layer links;
+  (:func:`_couple_triangle`) — plus :func:`row_dot` (over
+  :func:`weighted_sum`) for the layer links;
 * each encoder's per-neuron loop, as :func:`reference_single`,
   :func:`reference_itne` and :func:`reference_btne`.
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -38,6 +40,29 @@ from repro.nn.affine import AffineLayer
 
 
 # -- dict emitters ---------------------------------------------------------------
+
+
+def weighted_sum(
+    variables: Iterable[Var], weights: Iterable[float], constant: float = 0.0
+) -> LinExpr:
+    """Build ``sum w_j * v_j + constant`` in one pass.
+
+    Avoids the quadratic blow-up of repeated ``+`` on growing
+    expressions.  Exactly-zero weights are dropped.
+    """
+    coeffs: dict[int, float] = {}
+    vars_map: dict[int, Var] = {}
+    for var, weight in zip(variables, weights):
+        w = float(weight)
+        if w == 0.0:
+            continue
+        idx = var.index
+        if idx in coeffs:
+            coeffs[idx] += w
+        else:
+            coeffs[idx] = w
+            vars_map[idx] = var
+    return LinExpr(coeffs, float(constant), _vars=vars_map)
 
 
 def row_dot(
@@ -62,7 +87,7 @@ def row_dot(
         else:
             total = total + h * float(w)
     if direct_vars:
-        total = total + LinExpr.weighted_sum(direct_vars, direct_w)
+        total = total + weighted_sum(direct_vars, direct_w)
     return total
 
 
@@ -325,6 +350,12 @@ def reference_itne(
                 y_var, dy_var = y_vars[j], dy_vars[j]
                 y_lb, y_ub = layer_ranges.y.scalar(j)
                 dy_lb, dy_ub = layer_ranges.dy.scalar(j)
+                hat_lb, hat_ub = y_lb + dy_lb, y_ub + dy_ub
+                if clip_second_input:
+                    second = y_var + dy_var
+                    model.add_constr(second >= y_lb)
+                    model.add_constr(second <= y_ub)
+                    hat_lb, hat_ub = max(y_lb, hat_lb), min(y_ub, hat_ub)
                 tag = f"{prefix}.l{i}n{j}"
                 refine = True if mask is None else bool(mask[j])
                 if refine:
@@ -332,8 +363,8 @@ def reference_itne(
                     xhat_var = encode_relu_exact(
                         model,
                         y_var + dy_var,
-                        y_lb + dy_lb,
-                        y_ub + dy_ub,
+                        hat_lb,
+                        hat_ub,
                         name=f"{tag}.hat",
                     )
                     x_list.append(x_var)
@@ -350,8 +381,8 @@ def reference_itne(
                             model,
                             x_var + dx_var,
                             y_var + dy_var,
-                            y_lb + dy_lb,
-                            y_ub + dy_ub,
+                            hat_lb,
+                            hat_ub,
                         )
                     x_list.append(x_var)
                     dx_list.append(dx_var)
